@@ -68,6 +68,16 @@ def branch_solve(
     is explored once: the subtree outcome depends only on the set (its
     size fixes the remaining budget), so revisits along another
     branching order are answered from a cache.
+
+    The zero-removal answer depends only on how many survivors each
+    neighborhood class keeps, capped at d, so the inner solver sees only
+    the first min(|class|, d) survivors of every occupied class, in
+    ascending index, and its teams are mapped back to the caller's
+    numbering. The dp and ilp inner solvers never pick a user outside
+    that set, so their teams, and with them the branching order, are
+    the ones they would find on all survivors. Nodes with no budget
+    left read only the inner answer, which is cached by that capped
+    count vector across the whole search.
     """
     require_normalized(inst)
     start = time.perf_counter()
@@ -75,41 +85,61 @@ def branch_solve(
     if s0_solver is None:
         inner_name, s0_solver = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
-    n = inst.n
+    n, d = inst.n, inst.d
+    # At most s removals, so the first d survivors of a class are among
+    # its first d + s members; class 0 users appear in no useful team.
+    seen: dict[int, int] = {}
+    candidates: list[tuple[int, int]] = []
+    for u, mask in enumerate(inst.access):
+        listed = seen.get(mask, 0)
+        if mask and listed < d + inst.s:
+            seen[mask] = listed + 1
+            candidates.append((u, mask))
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
+    answers: dict[tuple[int, ...], bool] = {}
 
-    def node(removed: set[int], removed_mask: int, budget: int) -> Verdict | None:
+    def node(removed_mask: int, budget: int) -> Verdict | None:
         # None means: no blocker extends this removal set within budget.
         stats.nodes += 1
         if dedup and removed_mask in outcomes:
             return outcomes[removed_mask]
-        kept = [u for u in range(n) if u not in removed]
-        sub = s0_solver(restrict(inst, kept))
-        if not removed_mask and sub.sat and isinstance(sub.witness, TeamSet):
-            root_teams[0] = sub.witness
+        kept: list[int] = []
+        taken = dict.fromkeys(seen, 0)
+        for u, mask in candidates:
+            if taken[mask] < d and not removed_mask >> u & 1:
+                taken[mask] += 1
+                kept.append(u)
+        counts = tuple(taken.values())
+        witness = None
+        if budget == 0 and counts in answers:
+            sat = answers[counts]
+        else:
+            sub = s0_solver(restrict(inst, kept))
+            sat, witness = sub.sat, sub.witness
+            answers[counts] = sat
+        if not removed_mask and sat and isinstance(witness, TeamSet):
+            root_teams[0] = _mapped_teams(witness, kept)
         result: Verdict | None
-        if not sub.sat:
-            result = Verdict(UNSAT, BlockerSet(frozenset(removed)), stats)
+        if not sat:
+            blocker = frozenset(u for u in range(n) if removed_mask >> u & 1)
+            result = Verdict(UNSAT, BlockerSet(blocker), stats)
         elif budget == 0:
             result = None
         else:
-            witness = sub.witness
             if not isinstance(witness, TeamSet):
                 raise RuntimeError("inner s=0 solver returned SAT without teams")
             touched = sorted({kept[i] for team in witness.teams for i in team})
             result = None
             for u in touched:
-                removed.add(u)
-                result = node(removed, removed_mask | (1 << u), budget - 1)
-                removed.discard(u)
+                result = node(removed_mask | (1 << u), budget - 1)
                 if result is not None:
                     break
         if dedup:
             outcomes[removed_mask] = result
         return result
 
-    found = node(set(), 0, inst.s)
+    found = node(0, inst.s)
     if found is not None:
         found.stats.seconds = time.perf_counter() - start
         return found

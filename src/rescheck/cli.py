@@ -4,8 +4,9 @@ Subcommands: solve, kernelize, generate, sweep, verify.
 
 Exit codes everywhere: 0 satisfiable (or success for subcommands with
 no verdict), 1 unsatisfiable (or failure found), 2 usage/input error,
-3 search budget exceeded. Verdict and instance documents go to
-standard output; diagnostics and progress go to standard error.
+3 search budget exceeded, 4 internal error (a crash is never an
+answer). Verdict and instance documents go to standard output;
+diagnostics and progress go to standard error.
 
 Budgets are flags with safe defaults, never environment variables:
 every algorithm here is exponential in something, and a run must fail
@@ -58,6 +59,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 S0_ONLY = ("dp", "ilp", "setcover")
 
@@ -338,6 +340,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InstanceFormatError, PolicyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except RuntimeError as err:
+        # RecursionError included: exit 1 would read as UNSAT.
+        print(f"error: internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -53,10 +53,23 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     misses plus how many members it has so far; user i either joins one
     team that it helps and that has room, or is skipped. The size
     counter is what makes finite t honest, with t unbounded it never
-    binds. States are packed into a single integer key and memoized
-    sparsely; only states reachable from the root query are ever
-    visited, which keeps the visited count within n * 2^(d|P|) *
-    (t+1)^d. The demand bit budget d*|P| is checked up front.
+    binds. States are packed into a single integer and memoized
+    sparsely under the prefix length and the state with its team fields
+    sorted, since teams are interchangeable; only states reachable from
+    the root query are ever visited, which keeps the visited count
+    within n * 2^(d|P|) * (t+1)^d. The demand bit budget d*|P| is
+    checked up front.
+
+    A state is dead, and answered False without searching below it,
+    when a team that still misses a resource is full, or when some
+    resource is missed by more teams than there are users among the
+    first i that reach it: a user joins at most one team, so those teams
+    need distinct such users. Both tests reduce to the fewest leading
+    users a state needs, computed once per state. The replay walks the
+    unsorted states and only follows those whose value is True, so
+    neither the sorted key nor the prune changes the witness. The caches
+    are cleared on return; the recursive closure would otherwise keep
+    them alive until the cyclic garbage collector runs.
     """
     require_normalized(inst)
     start = time.perf_counter()
@@ -73,6 +86,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     full = inst.target
     access = inst.access
     cap_bits = t.bit_length()
+    size_mask = (1 << cap_bits) - 1
     width = p + cap_bits
     demand_mask = full
     all_demands = 0
@@ -82,7 +96,24 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     for j in range(d):
         initial |= full << (j * width)
 
-    memo: dict[tuple[int, int], bool] = {}
+    # reached[k][r]: how many leading users it takes for k+1 of them to
+    # reach resource r, n+1 when fewer do.
+    reached = [[n + 1] * p for _ in range(d)]
+    count = [0] * p
+    unfilled = d * p
+    for i, nbr in enumerate(access, 1):
+        for r in range(p):
+            if nbr >> r & 1 and count[r] < d:
+                reached[count[r]][r] = i
+                count[r] += 1
+                unfilled -= 1
+        if not unfilled:
+            break
+
+    memo: dict[int, bool] = {}
+    shapes: dict[int, tuple[int, int]] = {}
+    index_bits = n.bit_length()
+    field_mask = (1 << width) - 1
     stats.extras["dp_bits"] = d * p
 
     def moves(i: int, state: int):
@@ -93,28 +124,53 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             demand = state >> shift & demand_mask
             if not demand & nbr:
                 continue
-            size = state >> (shift + p) & ((1 << cap_bits) - 1)
+            size = state >> (shift + p) & size_mask
             if size >= t:
                 continue
             yield j, state - (demand << shift) + ((demand & ~nbr) << shift) + (
                 1 << (shift + p)
             )
 
+    def shape(state: int) -> tuple[int, int]:
+        # The state with its team fields sorted, which poses the same
+        # question because teams are interchangeable, and the fewest
+        # leading users that can still serve it, n+1 when none can.
+        canonical = least = 0
+        need = [0] * p  # teams still missing each resource
+        for field in sorted([state >> (j * width) & field_mask for j in range(d)]):
+            canonical = canonical << width | field
+            demand = field & demand_mask
+            if not demand:
+                continue
+            if field >> p >= t:
+                least = n + 1
+            for r in range(p):
+                if demand >> r & 1:
+                    need[r] += 1
+                    least = max(least, reached[need[r] - 1][r])
+        return canonical, least
+
     def value(i: int, state: int) -> bool:
         if state & all_demands == 0:
             return True
         if i == 0:
             return False
-        key = (i, state)
+        known = shapes.get(state)
+        if known is None:
+            known = shapes[state] = shape(state)
+        canonical, least = known
+        key = canonical << index_bits | i
         cached = memo.get(key)
         if cached is not None:
             return cached
-        result = value(i - 1, state)
-        if not result:
-            for _, child in moves(i, state):
-                if value(i - 1, child):
-                    result = True
-                    break
+        result = False
+        if i >= least:
+            result = value(i - 1, state)
+            if not result:
+                for _, child in moves(i, state):
+                    if value(i - 1, child):
+                        result = True
+                        break
         memo[key] = result
         return result
 
@@ -123,27 +179,29 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         sys.setrecursionlimit(n + 200)
     try:
         sat = value(n, initial)
+        stats.nodes = len(memo)
+        if not sat:
+            return _unsat(stats, start)
+
+        # Replay the memo to pull out one concrete team assignment.
+        teams: list[set[int]] = [set() for _ in range(d)]
+        i, state = n, initial
+        while state & all_demands:
+            if value(i - 1, state):
+                i -= 1
+                continue
+            for j, child in moves(i, state):
+                if value(i - 1, child):
+                    teams[j].add(i - 1)
+                    state = child
+                    i -= 1
+                    break
+            else:  # pragma: no cover - would mean the memo is inconsistent
+                raise RuntimeError("dp witness replay failed")
     finally:
         sys.setrecursionlimit(old_limit)
-    stats.nodes = len(memo)
-    if not sat:
-        return _unsat(stats, start)
-
-    # Replay the memo to pull out one concrete team assignment.
-    teams: list[set[int]] = [set() for _ in range(d)]
-    i, state = n, initial
-    while state & all_demands:
-        if value(i - 1, state):
-            i -= 1
-            continue
-        for j, child in moves(i, state):
-            if value(i - 1, child):
-                teams[j].add(i - 1)
-                state = child
-                i -= 1
-                break
-        else:  # pragma: no cover - would mean the memo is inconsistent
-            raise RuntimeError("dp witness replay failed")
+        memo.clear()
+        shapes.clear()
     stats.seconds = time.perf_counter() - start
     return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)
 

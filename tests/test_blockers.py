@@ -17,6 +17,7 @@ from rescheck import (
     Limits,
     PreconditionError,
     STRATEGIES,
+    TeamSet,
     branch_solve,
     class_partition,
     deletion_cost,
@@ -49,6 +50,14 @@ class TestBranch:
         x = norm([[0], [1]], p=2, s=0, d=1, t=2)
         v = branch_solve(x)
         assert v.sat
+        assert verify_witness(x, v)
+
+    def test_s0_team_witness_is_in_the_callers_numbering(self):
+        # class {r0} holds three users and d=1, so the inner solver sees
+        # only users 0 and 3, as its users 0 and 1
+        x = norm([[0], [0], [0], [1]], p=2, s=0, d=1, t=2)
+        v = branch_solve(x)
+        assert v.witness == TeamSet((frozenset({0, 3}),))
         assert verify_witness(x, v)
 
     def test_node_count_within_branching_bound(self):

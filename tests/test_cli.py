@@ -9,7 +9,14 @@ import pytest
 from conftest import inst
 from rescheck import INF, Instance, emit_instance, normalize, solve
 from rescheck.blockers import STRATEGIES
-from rescheck.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
+from rescheck.cli import (
+    EXIT_BUDGET,
+    EXIT_ERROR,
+    EXIT_INTERNAL,
+    EXIT_SAT,
+    EXIT_UNSAT,
+    main,
+)
 from rescheck.policy import SolveStats, Verdict
 
 
@@ -66,6 +73,20 @@ class TestSolve:
         path = write_instance(tmp_path / "x.json", x)
         assert main(["solve", path, "--algorithm", "dp", "--dp-bits", "1"]) == EXIT_BUDGET
         assert "error:" in capsys.readouterr().err
+
+    def test_solver_crash_exits_four_not_unsat(self, tmp_path, capsys, monkeypatch):
+        # ilp_feasible recurses once per configuration; its RecursionError
+        # must not surface as exit 1, which means UNSAT
+        def crash(x, limits):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setitem(STRATEGIES, "ilp", crash)
+        x = inst([[0], [1]], p=2, s=0, d=1, t=2)
+        path = write_instance(tmp_path / "x.json", x)
+        assert main(["solve", path, "--algorithm", "ilp"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: internal error: maximum recursion depth" in captured.err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == EXIT_ERROR

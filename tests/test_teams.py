@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import instances, norm
 from rescheck import (
+    INF,
     BudgetError,
     Instance,
     Limits,
@@ -24,6 +28,37 @@ from rescheck import (
     solve_s0_bruteforce,
     verify_witness,
 )
+from rescheck.policy import restrict
+
+
+def _representatives(inst: Instance, users: list[int]) -> list[int]:
+    # The first min(|class|, d) of the given users in every occupied class.
+    taken: dict[int, int] = {}
+    reps = []
+    for u in users:
+        mask = inst.access[u] & inst.target
+        if mask and taken.get(mask, 0) < inst.d:
+            taken[mask] = taken.get(mask, 0) + 1
+            reps.append(u)
+    return reps
+
+
+def _mapped(witness, kept: list[int]) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(kept[i] for i in team) for team in witness.teams)
+
+
+@st.composite
+def crowded_survivors(draw):
+    """Up to 40 users drawn from a few neighborhood classes, so most
+    classes hold more than d users, plus a random survivor subset."""
+    p = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.integers(0, (1 << p) - 1), min_size=1, max_size=4))
+    access = tuple(draw(st.lists(st.sampled_from(kinds), max_size=40)))
+    keep = draw(st.lists(st.booleans(), min_size=len(access), max_size=len(access)))
+    d = draw(st.integers(1, 3))
+    t = draw(st.sampled_from([1, 2, 3, INF]))
+    x = normalize(Instance(access=access, num_resources=p, target=(1 << p) - 1, d=d, t=t))
+    return x, [u for u in range(x.n) if keep[u]]
 
 
 class TestDp:
@@ -74,6 +109,63 @@ class TestDp:
         assert v.sat == solve_s0_bruteforce(y).sat
         if v.sat:
             assert verify_witness(y, v)
+
+    def test_prune_too_few_users_reach_a_resource(self):
+        # both teams miss r1, which only user 0 reaches: the root state is
+        # dead and nothing below it is searched
+        x = norm([[0, 1]] + [[0]] * 8, p=2, d=2, t=2)
+        v = dp_solve(x)
+        assert not v.sat
+        assert not solve_s0_bruteforce(x).sat
+        assert v.stats.nodes == 1
+
+    def test_prune_full_team_with_demand_left(self):
+        # t=1 and no user reaches both resources: the team is full as soon
+        # as one user joins, so each such child is dead on arrival. That
+        # leaves the ten prefixes with the team untouched plus one child
+        # for each of the nine users above the first.
+        x = norm([[0], [1]] * 5, p=2, d=1, t=1)
+        v = dp_solve(x)
+        assert not v.sat
+        assert not solve_s0_bruteforce(x).sat
+        assert v.stats.nodes == 2 * x.n - 1
+
+    def test_memo_is_released_on_return(self):
+        # The recursive closure is a reference cycle; with the cyclic
+        # collector off, only clearing the caches frees them on return.
+        access = (
+            1, 9, 2, 4, 0, 2, 8, 20, 0, 0, 17, 20, 2, 0, 1, 3, 17, 16, 1, 4,
+            9, 2, 8, 1, 9, 10, 9, 0, 5, 8, 1, 4, 10, 16, 0, 16, 16, 2, 17, 16,
+            6, 2, 0, 16, 0, 9, 24, 6, 1, 8, 20, 4, 0, 14, 4, 16, 0, 4, 4, 2,
+            8, 1, 4, 20, 18, 16, 2, 0, 8, 0, 16, 1, 8, 1, 16, 0, 0, 16, 0, 0,
+            0, 17, 11, 4, 9, 16, 4, 4, 1, 2, 1,
+        )
+        x = Instance(access=access, num_resources=5, target=0b11111, d=3, t=3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            v = dp_solve(x)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert v.stats.nodes > 10_000
+        # what remains is the interpreter's free lists, not the memo
+        assert after - before < (peak - before) / 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_survivors())
+    def test_representatives_keep_the_witness(self, case):
+        x, survivors = case
+        reps = _representatives(x, survivors)
+        on_all = dp_solve(restrict(x, survivors))
+        on_reps = dp_solve(restrict(x, reps))
+        assert on_reps.answer == on_all.answer
+        if on_all.sat:
+            assert _mapped(on_reps.witness, reps) == _mapped(on_all.witness, survivors)
 
 
 class TestConfigurations:
