@@ -1,16 +1,20 @@
 """Solvers for the general query with a removal budget s > 0.
 
-branch_solve searches over candidate removals guided by found team
-sets; reduced_solve shrinks the user set to class representatives first
-and enumerates how many representatives to delete per class;
-fastpath_d1_tinf answers the single-team unbounded-size case by
-counting coverage. solve() picks a route automatically.
+Both searches try removal sets and put the zero-removal question to an
+inner s=0 solver through one step, _solve_survivors. Whether that
+question is SAT depends only on how many survivors each neighborhood
+class keeps, capped at d, so the inner solver sees only the first
+min(|class|, d) survivors of every occupied class and its teams are
+mapped back to the caller's numbering. branch_solve picks removals from
+the team sets it finds; reduced_solve enumerates how many
+representatives to delete per class. fastpath_d1_tinf answers the
+single-team unbounded-size case by counting coverage. solve() picks a
+route automatically.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import oracle, teams
@@ -20,7 +24,6 @@ from .policy import (
     UNSAT,
     BlockerSet,
     BudgetError,
-    ClassPartition,
     Instance,
     Limits,
     PreconditionError,
@@ -33,6 +36,9 @@ from .policy import (
 )
 
 S0Solver = Callable[[Instance], Verdict]
+# Users that may survive as a class representative, each with its class
+# mask, in ascending index; and the occupied classes.
+Listing = tuple[list[tuple[int, int]], tuple[int, ...]]
 
 
 def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
@@ -45,9 +51,61 @@ def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
     )
 
 
-def _mapped_teams(witness: TeamSet, kept: list[int]) -> TeamSet:
-    # Sub-instance indices back to the caller's numbering.
-    return TeamSet(tuple(frozenset(kept[i] for i in team) for team in witness.teams))
+def _candidates(inst: Instance) -> Listing:
+    # At most s removals, so the first d survivors of a class are among
+    # its first d + s members; class 0 users appear in no useful team.
+    listed: dict[int, int] = {}
+    candidates: list[tuple[int, int]] = []
+    for u, mask in enumerate(inst.access):
+        count = listed.get(mask, 0)
+        if mask and count < inst.d + inst.s:
+            listed[mask] = count + 1
+            candidates.append((u, mask))
+    return candidates, tuple(listed)
+
+
+def _solve_survivors(
+    inst: Instance,
+    s0_solver: S0Solver,
+    listing: Listing,
+    removed_mask: int,
+    answers: dict[tuple[int, ...], bool] | None = None,
+    need_teams: bool = True,
+) -> tuple[bool, TeamSet | None]:
+    """The zero-removal query on the users left after removed_mask.
+
+    The inner solver gets the first min(|class|, d) survivors of every
+    occupied class, in ascending index, drawn from the _candidates
+    listing. The dp and ilp inner solvers never pick a user outside that
+    set, so their teams are the ones they would find on all survivors.
+    Returns the answer and the inner solver's teams in the caller's
+    numbering, None when it gave none. answers, when given, maps capped
+    per-class survivor counts to answers already found; a vector found
+    there is answered without an inner call, and without teams, unless
+    need_teams.
+    """
+    candidates, classes = listing
+    d = inst.d
+    taken = dict.fromkeys(classes, 0)
+    kept: list[int] = []
+    for u, mask in candidates:
+        if taken[mask] < d and not removed_mask >> u & 1:
+            taken[mask] += 1
+            kept.append(u)
+    counts = tuple(taken.values())
+    if answers is not None and not need_teams and counts in answers:
+        return answers[counts], None
+    sub = s0_solver(restrict(inst, kept))
+    if answers is not None:
+        answers[counts] = sub.sat
+    if not sub.sat or not isinstance(sub.witness, TeamSet):
+        return sub.sat, None
+    mapped = TeamSet(tuple(frozenset(kept[i] for i in team) for team in sub.witness.teams))
+    return True, mapped
+
+
+def _blocker(removed_mask: int, n: int) -> BlockerSet:
+    return BlockerSet(frozenset(u for u in range(n) if removed_mask >> u & 1))
 
 
 def branch_solve(
@@ -55,7 +113,6 @@ def branch_solve(
     s0_solver: S0Solver | None = None,
     *,
     limits: Limits = DEFAULT_LIMITS,
-    dedup: bool = True,
 ) -> Verdict:
     """Branching search for a blocker of size at most s.
 
@@ -69,15 +126,11 @@ def branch_solve(
     size fixes the remaining budget), so revisits along another
     branching order are answered from a cache.
 
-    The zero-removal answer depends only on how many survivors each
-    neighborhood class keeps, capped at d, so the inner solver sees only
-    the first min(|class|, d) survivors of every occupied class, in
-    ascending index, and its teams are mapped back to the caller's
-    numbering. The dp and ilp inner solvers never pick a user outside
-    that set, so their teams, and with them the branching order, are
-    the ones they would find on all survivors. Nodes with no budget
-    left read only the inner answer, which is cached by that capped
-    count vector across the whole search.
+    The inner solver's teams, and with them the branching order, are
+    the ones it would find on all survivors (see _solve_survivors).
+    Nodes with no budget left read only the inner answer, which is
+    cached by the capped per-class survivor counts across the whole
+    search.
     """
     require_normalized(inst)
     start = time.perf_counter()
@@ -85,16 +138,7 @@ def branch_solve(
     if s0_solver is None:
         inner_name, s0_solver = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
-    n, d = inst.n, inst.d
-    # At most s removals, so the first d survivors of a class are among
-    # its first d + s members; class 0 users appear in no useful team.
-    seen: dict[int, int] = {}
-    candidates: list[tuple[int, int]] = []
-    for u, mask in enumerate(inst.access):
-        listed = seen.get(mask, 0)
-        if mask and listed < d + inst.s:
-            seen[mask] = listed + 1
-            candidates.append((u, mask))
+    listing = _candidates(inst)
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
     answers: dict[tuple[int, ...], bool] = {}
@@ -102,41 +146,24 @@ def branch_solve(
     def node(removed_mask: int, budget: int) -> Verdict | None:
         # None means: no blocker extends this removal set within budget.
         stats.nodes += 1
-        if dedup and removed_mask in outcomes:
+        if removed_mask in outcomes:
             return outcomes[removed_mask]
-        kept: list[int] = []
-        taken = dict.fromkeys(seen, 0)
-        for u, mask in candidates:
-            if taken[mask] < d and not removed_mask >> u & 1:
-                taken[mask] += 1
-                kept.append(u)
-        counts = tuple(taken.values())
-        witness = None
-        if budget == 0 and counts in answers:
-            sat = answers[counts]
-        else:
-            sub = s0_solver(restrict(inst, kept))
-            sat, witness = sub.sat, sub.witness
-            answers[counts] = sat
-        if not removed_mask and sat and isinstance(witness, TeamSet):
-            root_teams[0] = _mapped_teams(witness, kept)
-        result: Verdict | None
+        sat, found = _solve_survivors(
+            inst, s0_solver, listing, removed_mask, answers, need_teams=budget > 0
+        )
+        if not removed_mask:
+            root_teams[0] = found
+        result: Verdict | None = None
         if not sat:
-            blocker = frozenset(u for u in range(n) if removed_mask >> u & 1)
-            result = Verdict(UNSAT, BlockerSet(blocker), stats)
-        elif budget == 0:
-            result = None
-        else:
-            if not isinstance(witness, TeamSet):
+            result = Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+        elif budget > 0:
+            if found is None:
                 raise RuntimeError("inner s=0 solver returned SAT without teams")
-            touched = sorted({kept[i] for team in witness.teams for i in team})
-            result = None
-            for u in touched:
+            for u in sorted(set().union(*found.teams)):
                 result = node(removed_mask | (1 << u), budget - 1)
                 if result is not None:
                     break
-        if dedup:
-            outcomes[removed_mask] = result
+        outcomes[removed_mask] = result
         return result
 
     found = node(0, inst.s)
@@ -148,47 +175,24 @@ def branch_solve(
     return Verdict(SAT, witness, stats)
 
 
-@dataclass(frozen=True)
-class ClassDeletionVector:
-    """How many representative users to delete from each class."""
-
-    counts: dict[int, int]
-    d: int
-
-
-def deletion_cost(
-    partition: ClassPartition, vector: ClassDeletionVector, class_mask: int
-) -> int:
-    """Users charged against the removal budget for this class.
-
-    Deleting k > 0 representatives only blocks the original instance if
-    the class's spare, non-representative users go too, so those are
-    charged along with the k. An untouched class costs nothing.
-    """
-    k = vector.counts.get(class_mask, 0)
-    if k == 0:
-        return 0
-    total = len(partition.members(class_mask))
-    reps = min(total, vector.d)
-    return k + total - reps
-
-
 def reduced_solve(
     inst: Instance,
     s0_solver: S0Solver | None = None,
     *,
     limits: Limits = DEFAULT_LIMITS,
 ) -> Verdict:
-    """Blocker search over class representatives only.
+    """Blocker search over per-class deletion counts.
 
-    Keeping min(|class|, d) lowest-index users per occupied class
-    preserves the answer: teams never need more than d users of one
-    class, and a minimal blocker prunes to representatives once its
-    per-class cost is accounted by deletion_cost. Enumerate per-class
-    deletion counts in class bitmask order, skip vectors whose total
-    cost exceeds s, and test the surviving representatives with an s=0
-    solver. The first blocking vector, expanded back to original users,
-    is the witness.
+    Keeping min(|class|, d) lowest-index users per occupied class, its
+    representatives, preserves the answer: teams never need more than d
+    users of one class. A minimal blocker that touches a class leaves
+    fewer than d of its users, so it can be taken to delete the first k
+    representatives together with every spare, non-representative user
+    of that class, and all of those are charged against the budget.
+    Enumerate per-class deletion counts in class bitmask order, skip
+    vectors whose total cost exceeds s, and put the zero-removal query
+    to the survivors. The removal set of the first vector that blocks is
+    the witness.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -201,73 +205,47 @@ def reduced_solve(
     if s0_solver is None:
         inner_name, s0_solver = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
-    partition = class_partition(inst)
     d, s = inst.d, inst.s
+    listing = _candidates(inst)
 
-    # Class 0 users appear in no useful team and no minimal blocker.
-    occupied = [mask for mask in partition.classes if mask]
-    reps: dict[int, tuple[int, ...]] = {
-        mask: partition.members(mask)[: min(len(partition.members(mask)), d)]
-        for mask in occupied
-    }
-    reduced_users = sorted(u for members in reps.values() for u in members)
-    stats.extras["reduced_users"] = len(reduced_users)
+    # Per occupied class: its representatives, the mask of its spare
+    # users and their number. Class 0 users appear in no useful team and
+    # no minimal blocker.
+    classes: list[tuple[tuple[int, ...], int, int]] = []
+    for mask, members in class_partition(inst).classes.items():
+        if mask:
+            spare_mask = 0
+            for u in members[d:]:
+                spare_mask |= 1 << u
+            classes.append((members[:d], spare_mask, max(len(members) - d, 0)))
+    stats.extras["reduced_users"] = sum(len(reps) for reps, _, _ in classes)
+    first_teams: list[TeamSet | None] = [None]
 
-    counts: dict[int, int] = {}
-
-    def expand(vector: ClassDeletionVector) -> BlockerSet:
-        removed: set[int] = set()
-        for mask, k in vector.counts.items():
-            if k == 0:
-                continue
-            removed.update(reps[mask][:k])
-            removed.update(partition.members(mask)[d:])
-        return BlockerSet(frozenset(removed))
-
-    def try_vector() -> Verdict | None:
-        stats.nodes += 1
-        vector = ClassDeletionVector(dict(counts), d)
-        removed = {u for mask, k in counts.items() for u in reps[mask][:k]}
-        kept = [u for u in reduced_users if u not in removed]
-        sub = s0_solver(restrict(inst, kept))
-        if sub.sat:
-            if inst.s == 0 and isinstance(sub.witness, TeamSet):
-                return Verdict(SAT, _mapped_teams(sub.witness, kept), stats)
-            return Verdict(SAT, None, stats)
-        return Verdict(UNSAT, expand(vector), stats)
-
-    def enumerate_vectors(idx: int, cost: int) -> Verdict | None:
-        if idx == len(occupied):
-            verdict = try_vector()
-            return verdict if not verdict.sat else None
-        mask = occupied[idx]
-        total = len(partition.members(mask))
-        spare = total - len(reps[mask])
-        top = min(s, d, len(reps[mask]))
-        for k in range(top + 1):
-            extra = 0 if k == 0 else k + spare
-            if cost + extra > s:
+    def enumerate_vectors(idx: int, cost: int, removed_mask: int) -> Verdict | None:
+        if idx == len(classes):
+            stats.nodes += 1
+            sat, found = _solve_survivors(inst, s0_solver, listing, removed_mask)
+            if not sat:
+                return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+            if not removed_mask:
+                first_teams[0] = found
+            return None
+        found = enumerate_vectors(idx + 1, cost, removed_mask)
+        reps, drop, spare = classes[idx]
+        for k in range(1, len(reps) + 1):
+            if found is not None or cost + k + spare > s:
                 break  # larger k only costs more
-            counts[mask] = k
-            result = enumerate_vectors(idx + 1, cost + extra)
-            if result is not None:
-                return result
-        counts.pop(mask, None)
-        return None
+            drop |= 1 << reps[k - 1]
+            found = enumerate_vectors(idx + 1, cost + k + spare, removed_mask | drop)
+        return found
 
-    found = enumerate_vectors(0, 0)
+    found = enumerate_vectors(0, 0, 0)
     if found is not None:
         found.stats.seconds = time.perf_counter() - start
         return found
-    # No deletion vector blocks, so the policy is resilient; recover the
-    # s=0 witness case for uniformity with the other solvers.
-    if inst.s == 0:
-        counts.clear()
-        verdict = try_vector()
-        verdict.stats.seconds = time.perf_counter() - start
-        return verdict
+    witness = first_teams[0] if s == 0 else None
     stats.seconds = time.perf_counter() - start
-    return Verdict(SAT, None, stats)
+    return Verdict(SAT, witness, stats)
 
 
 def fastpath_d1_tinf(inst: Instance) -> Verdict:
@@ -325,10 +303,6 @@ def _solve_ilp(inst: Instance, limits: Limits) -> Verdict:
     return teams.ilp_solve(inst, limits=limits)
 
 
-def _solve_setcover(inst: Instance, limits: Limits) -> Verdict:
-    return teams.setcover_d1(inst, limits=limits)
-
-
 def _solve_branch(inst: Instance, limits: Limits) -> Verdict:
     return branch_solve(inst, limits=limits)
 
@@ -345,7 +319,6 @@ STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
     "oracle": _solve_oracle,
     "dp": _solve_dp,
     "ilp": _solve_ilp,
-    "setcover": _solve_setcover,
     "branch": _solve_branch,
     "reduced": _solve_reduced,
     "fastpath": _solve_fastpath,
@@ -386,10 +359,8 @@ def solve(
 
 
 __all__ = [
-    "ClassDeletionVector",
     "STRATEGIES",
     "branch_solve",
-    "deletion_cost",
     "fastpath_d1_tinf",
     "reduced_solve",
     "solve",

@@ -61,7 +61,7 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-S0_ONLY = ("dp", "ilp", "setcover")
+S0_ONLY = ("dp", "ilp")
 
 
 def _read(path: str) -> str:

@@ -47,10 +47,6 @@ class SweepConfig:
     seeds: int = 1000
     random_max_n: int = 10
     random_max_p: int = 4
-    check_node_bounds: bool = True
-    check_minimal_blockers: bool = True
-    check_witnesses: bool = True
-    stop_on_first: bool = True
     limits: Limits = DEFAULT_LIMITS
 
 
@@ -87,8 +83,6 @@ def _applicable(inst: Instance) -> list[str]:
     if inst.s == 0:
         names.append("dp")
         names.append("ilp")
-        if inst.d == 1:
-            names.append("setcover")
     if inst.d == 1 and inst.t >= inst.num_resources:
         names.append("fastpath")
     return names
@@ -115,13 +109,13 @@ class _Runner:
         self.report = report
 
     def stop(self) -> bool:
-        return bool(self.report.disagreements) and self.config.stop_on_first
+        return bool(self.report.disagreements)
 
     def flag(self, **kwargs) -> None:
         self.report.disagreements.append(Disagreement(**kwargs))
 
     def check_team_witness(self, inst: Instance, verdict: Verdict, name: str) -> None:
-        if not self.config.check_witnesses or verdict.witness is None:
+        if verdict.witness is None:
             return
         self.report.witnesses_checked += 1
         if not verify_witness(inst, verdict):
@@ -136,8 +130,6 @@ class _Runner:
             )
 
     def check_bounds(self, inst: Instance, verdict: Verdict, name: str) -> None:
-        if not self.config.check_node_bounds:
-            return
         d, p, t, n, s = inst.d, inst.num_resources, int(inst.t), inst.n, inst.s
         if name == "branch":
             cap = sum((d * t) ** i for i in range(s + 1))
@@ -190,7 +182,7 @@ class _Runner:
             blocker = overall.witness
             blocker_size = len(blocker.users)
 
-        if blocker is not None and self.config.check_minimal_blockers:
+        if blocker is not None:
             # Minimum cardinality implies inclusion-minimality.
             self.report.blockers_checked += 1
             complaint = _blocker_class_gap(base, blocker)
@@ -210,30 +202,29 @@ class _Runner:
         for s in range(base.s + 1):
             inst = replace(base, s=s)
             expected = UNSAT if blocker_size <= s else SAT
-            if self.config.check_witnesses:
-                # The oracle's own witnesses go through the same check.
-                if expected == UNSAT and s == blocker_size:
-                    self.report.witnesses_checked += 1
-                    if not verify_witness(inst, Verdict(UNSAT, blocker, overall.stats)):
-                        self.flag(
-                            kind="witness",
-                            algorithm="oracle",
-                            baseline="verify_witness",
-                            expected="valid witness",
-                            got="invalid blocker",
-                            instance=inst,
-                        )
-                if expected == SAT and s == 0 and full_kept is not None:
-                    self.report.witnesses_checked += 1
-                    if not verify_witness(inst, full_kept):
-                        self.flag(
-                            kind="witness",
-                            algorithm="oracle",
-                            baseline="verify_witness",
-                            expected="valid witness",
-                            got="invalid teams",
-                            instance=inst,
-                        )
+            # The oracle's own witnesses go through the same check.
+            if expected == UNSAT and s == blocker_size:
+                self.report.witnesses_checked += 1
+                if not verify_witness(inst, Verdict(UNSAT, blocker, overall.stats)):
+                    self.flag(
+                        kind="witness",
+                        algorithm="oracle",
+                        baseline="verify_witness",
+                        expected="valid witness",
+                        got="invalid blocker",
+                        instance=inst,
+                    )
+            if expected == SAT and s == 0 and full_kept is not None:
+                self.report.witnesses_checked += 1
+                if not verify_witness(inst, full_kept):
+                    self.flag(
+                        kind="witness",
+                        algorithm="oracle",
+                        baseline="verify_witness",
+                        expected="valid witness",
+                        got="invalid teams",
+                        instance=inst,
+                    )
             if self.stop():
                 return
             self.run_cell(inst, expected)

@@ -1,16 +1,15 @@
 """Solvers for the zero-removal case: find d disjoint covering teams.
 
-Three exact routes with different parameter sweet spots:
+Two exact routes with different parameter sweet spots:
 
 * dp_solve: dynamic programming over (user prefix, per-team remaining
   demand and size), exponential only in d*|P|.
 * ilp_solve: enumerate team configurations (sets of neighborhood
   classes) and search for a feasible multiplicity vector, exponential
   only in |P|.
-* setcover_d1: classic subset DP for the single-team case.
 
-All of them treat s as 0; an UNSAT verdict carries the empty blocker
-set, which is exactly the definition of the s=0 query failing.
+Both treat s as 0; an UNSAT verdict carries the empty blocker set,
+which is exactly the definition of the s=0 query failing.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .policy import (
     BudgetError,
     Instance,
     Limits,
-    PreconditionError,
     SolveStats,
     TeamSet,
     Verdict,
@@ -360,58 +358,3 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     stats.seconds = time.perf_counter() - start
     return Verdict(SAT, witness, stats)
 
-
-def setcover_d1(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Single-team case: minimum cover size via subset DP over P.
-
-    SAT iff some at-most-t users jointly cover the target. Only valid
-    for d=1, s=0.
-    """
-    require_normalized(inst)
-    if inst.d != 1:
-        raise PreconditionError("setcover_d1 requires d=1")
-    if inst.s != 0:
-        raise PreconditionError("setcover_d1 requires s=0")
-    start = time.perf_counter()
-    stats = SolveStats(algorithm="setcover")
-    p = inst.num_resources
-    if p == 0:
-        return _trivial_sat(stats, 1, start)
-    if (1 << p) > limits.max_classes:
-        raise BudgetError(
-            f"setcover budget: 2^|P| = {1 << p} exceeds {limits.max_classes}"
-        )
-    t = int(inst.t)
-    full = inst.target
-    rep: dict[int, int] = {}
-    for u, mask in enumerate(inst.access):
-        if mask and mask not in rep:
-            rep[mask] = u
-    masks = sorted(rep)
-    size = 1 << p
-    cover = [p + 1] * size
-    choice = [0] * size
-    cover[0] = 0
-    for state in range(1, size):
-        best = p + 1
-        best_mask = 0
-        for mask in masks:
-            if not mask & state:
-                continue
-            stats.nodes += 1
-            cost = cover[state & ~mask] + 1
-            if cost < best:
-                best = cost
-                best_mask = mask
-        cover[state] = best
-        choice[state] = best_mask
-    if cover[full] > t:
-        return _unsat(stats, start)
-    team = set()
-    state = full
-    while state:
-        mask = choice[state]
-        team.add(rep[mask])
-        state &= ~mask
-    stats.seconds = time.perf_counter() - start
-    return Verdict(SAT, TeamSet((frozenset(team),)), stats)

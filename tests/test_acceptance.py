@@ -131,7 +131,6 @@ def test_every_solver_agrees_with_the_oracle_on_the_sweep(sweep_report):
         "reduced",
         "dp",
         "ilp",
-        "setcover",
         "fastpath",
     }
     assert all(count > 0 for count in sweep_report.runs_by_algorithm.values())

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import instances, norm
 from rescheck import (
     INF,
     BlockerSet,
     BudgetError,
-    ClassDeletionVector,
     Instance,
     Limits,
     PreconditionError,
@@ -20,11 +21,13 @@ from rescheck import (
     TeamSet,
     branch_solve,
     class_partition,
-    deletion_cost,
+    dp_solve,
     fastpath_d1_tinf,
     find_minimal_blocker,
+    ilp_solve,
     normalize,
     reduced_solve,
+    restrict,
     solve,
     solve_rcp_bruteforce,
     solve_s0_bruteforce,
@@ -82,23 +85,6 @@ class TestBranch:
             assert verify_witness(y, v)
 
 
-class TestDeletionCost:
-    def test_charges_spare_users_alongside_representatives(self):
-        part = class_partition(norm([[0]] * 5, p=1))
-        vec = ClassDeletionVector({0b1: 1}, d=2)
-        assert deletion_cost(part, vec, 0b1) == 4
-
-    def test_untouched_class_is_free(self):
-        part = class_partition(norm([[0]] * 5, p=1))
-        vec = ClassDeletionVector({}, d=2)
-        assert deletion_cost(part, vec, 0b1) == 0
-
-    def test_small_class_has_no_spares(self):
-        part = class_partition(norm([[0]], p=1))
-        vec = ClassDeletionVector({0b1: 1}, d=3)
-        assert deletion_cost(part, vec, 0b1) == 1
-
-
 class TestReduced:
     def test_identical_users_collapse_to_representatives(self):
         x = norm([[0], [0], [0]], p=1, s=1, d=2, t=1)
@@ -112,6 +98,39 @@ class TestReduced:
         assert not v.sat
         assert v.witness == BlockerSet(frozenset({0, 1, 2}))
         assert verify_witness(x, v)
+
+    @pytest.mark.parametrize(
+        "rows, s, blocker",
+        [
+            # deleting one of the two representatives costs the three
+            # spares too: 4 users, one more than the budget
+            ([[0]] * 5, 3, None),
+            ([[0]] * 5, 4, {0, 2, 3, 4}),
+            # a class of d users has no spares to charge
+            ([[0]] * 2, 1, {0}),
+        ],
+        ids=["spares-exceed-budget", "spares-charged-with-representative", "no-spares"],
+    )
+    def test_spare_users_are_charged(self, rows, s, blocker):
+        x = norm(rows, p=1, s=s, d=2, t=1)
+        v = reduced_solve(x)
+        assert v.sat == (blocker is None) == solve_rcp_bruteforce(x).sat
+        if blocker is not None:
+            assert v.witness == BlockerSet(frozenset(blocker))
+            assert verify_witness(x, v)
+
+    def test_s0_makes_one_inner_call(self):
+        calls = []
+
+        def counting(sub):
+            calls.append(sub)
+            return solve_s0_bruteforce(sub, user_limit=None)
+
+        x = norm([[0], [1]], p=2, s=0, d=1, t=2)
+        v = reduced_solve(x, counting)
+        assert v.sat and verify_witness(x, v)
+        assert len(calls) == 1
+        assert v.stats.nodes == 1
 
     def test_class_budget(self):
         x = norm([[0, 1, 2]], p=3, s=1, d=1, t=3)
@@ -186,7 +205,7 @@ class TestFastpath:
 class TestRouting:
     def test_strategy_names_are_stable(self):
         assert set(STRATEGIES) == {
-            "oracle", "dp", "ilp", "setcover", "branch", "reduced", "fastpath",
+            "oracle", "dp", "ilp", "branch", "reduced", "fastpath",
         }
 
     def test_auto_prefers_the_fastpath_for_single_teams(self):
@@ -251,3 +270,45 @@ def test_minimal_blockers_nearly_empty_touched_classes(x):
         touched = [u for u in members if u in blocker.users]
         if touched:
             assert len(members) - len(touched) < y.d
+
+
+@st.composite
+def crowded_instances(draw):
+    # More users than the oracle takes, a full target and a sparse
+    # seeded relation, so that blockers are common. p, s and d come from
+    # lists, not ranges, which hypothesis would skew toward small values.
+    p = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.integers(21, 40))
+    density = draw(st.sampled_from([0.1, 0.2, 0.4]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    access = tuple(
+        sum(1 << r for r in range(p) if rng.random() < density) for _ in range(n)
+    )
+    return normalize(
+        Instance(
+            access=access,
+            num_resources=p,
+            target=(1 << p) - 1,
+            s=draw(st.sampled_from([0, 1, 2])),
+            d=draw(st.sampled_from([1, 2, 3])),
+            t=draw(st.sampled_from([1, 2, 3, INF])),
+        )
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(crowded_instances())
+def test_searches_agree_beyond_the_oracle_guard(y):
+    # the two searches, and at s=0 the two team solvers, check each
+    # other; blockers are checked with ilp, which no search used inside
+    verdicts = [branch_solve(y), reduced_solve(y)]
+    if y.s == 0:
+        verdicts += [dp_solve(y), ilp_solve(y)]
+    assert len({v.sat for v in verdicts}) == 1
+    for v in verdicts:
+        if isinstance(v.witness, TeamSet):
+            assert verify_witness(y, v)
+        elif isinstance(v.witness, BlockerSet):
+            assert len(v.witness.users) <= y.s
+            survivors = [u for u in range(y.n) if u not in v.witness.users]
+            assert not ilp_solve(restrict(y, survivors)).sat

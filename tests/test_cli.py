@@ -63,7 +63,7 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["algorithm"] == "oracle"
 
     def test_s0_algorithms_reject_removal_budgets(self, fragile, capsys):
-        for name in ("dp", "ilp", "setcover"):
+        for name in ("dp", "ilp"):
             assert main(["solve", fragile, "--algorithm", name]) == EXIT_ERROR
             err = capsys.readouterr().err
             assert "answers only s=0" in err

@@ -1,4 +1,4 @@
-"""Fixed-parameter s=0 solvers: DP, configuration counting, set cover."""
+"""Fixed-parameter s=0 solvers: DP and configuration counting."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from rescheck import (
     BudgetError,
     Instance,
     Limits,
-    PreconditionError,
     class_partition,
     dp_solve,
     enumerate_configurations,
@@ -24,7 +23,6 @@ from rescheck import (
     ilp_solve,
     normalize,
     reconstruct_teams,
-    setcover_d1,
     solve_s0_bruteforce,
     verify_witness,
 )
@@ -260,33 +258,3 @@ class TestIlpSolve:
                 masks = [y.access[u] & y.target for u in team]
                 assert len(set(masks)) == len(masks)
 
-
-class TestSetCover:
-    def test_needs_more_users_than_the_cap(self):
-        x = norm([[0], [1], [2], [3], [4]], p=5, d=1, t=4)
-        assert not setcover_d1(x).sat
-
-    def test_single_user_cover(self):
-        x = norm([[0], [1], [0, 1]], p=2, d=1, t=1)
-        v = setcover_d1(x)
-        assert v.sat
-        assert v.witness.teams == (frozenset({2}),)
-
-    def test_rejects_multiple_teams(self):
-        x = norm([[0]], p=1, d=2, t=1)
-        with pytest.raises(PreconditionError):
-            setcover_d1(x)
-
-    def test_rejects_removals(self):
-        x = norm([[0]], p=1, s=1, d=1, t=1)
-        with pytest.raises(PreconditionError):
-            setcover_d1(x)
-
-    @settings(max_examples=80, deadline=None)
-    @given(instances(max_n=6, max_p=4, max_d=1))
-    def test_agrees_with_the_oracle(self, x):
-        y = replace(normalize(x), s=0, d=1)
-        v = setcover_d1(y)
-        assert v.sat == solve_s0_bruteforce(y).sat
-        if v.sat:
-            assert verify_witness(y, v)
