@@ -1,4 +1,4 @@
-"""Solvers for the general query with a removal budget s > 0.
+"""Solvers for the general query with a removal budget s > 0, and routing.
 
 Both searches try removal sets and put the zero-removal question to an
 inner s=0 solver through one step, _solve_survivors. Whether that
@@ -8,13 +8,17 @@ min(|class|, d) survivors of every occupied class and its teams are
 mapped back to the caller's numbering. branch_solve picks removals from
 the team sets it finds; reduced_solve enumerates how many
 representatives to delete per class. fastpath_d1_tinf answers the
-single-team unbounded-size case by counting coverage. solve() picks a
-route automatically.
+single-team unbounded-size case by counting coverage.
+
+The route is decided here and nowhere else. outside_domain says which
+names in STRATEGIES answer an instance exactly, and solve() refuses the
+others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
+class counting while 2^|P| fits max_classes, else the oracle) that
+"auto" and the searches' choice of inner solver both read.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 from . import oracle, teams
@@ -41,14 +45,39 @@ S0Solver = Callable[[Instance], Verdict]
 Listing = tuple[list[tuple[int, int]], tuple[int, ...]]
 
 
-def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
+def outside_domain(inst: Instance, name: str) -> str | None:
+    """Why strategy name does not answer inst exactly, None when it does.
+
+    oracle, branch and reduced answer every instance. dp and ilp look
+    for teams only, so they answer s=0 alone. fastpath counts coverage,
+    which decides the query only for a single team of unbounded size:
+    d=1 and, after normalization, t >= |P|.
+    """
+    if name in ("dp", "ilp") and inst.s:
+        return f"algorithm {name!r} answers only s=0 instances; this one has s={inst.s}"
+    if name == "fastpath" and not (inst.d == 1 and inst.t >= inst.num_resources):
+        return "fastpath requires d=1 and t >= |P| after normalization"
+    return None
+
+
+def _rung(inst: Instance, limits: Limits) -> str:
+    # The budget ladder: "dp", "ilp" (class counting) or "oracle".
     if inst.d * inst.num_resources <= limits.dp_bits:
-        return "dp", lambda sub: teams.dp_solve(sub, limits=limits)
+        return "dp"
     if (1 << inst.num_resources) <= limits.max_classes:
-        return "ilp", lambda sub: teams.ilp_solve(sub, limits=limits)
-    return "oracle-s0", lambda sub: oracle.solve_s0_bruteforce(
-        sub, user_limit=limits.oracle_users
-    )
+        return "ilp"
+    return "oracle"
+
+
+def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
+    rung = _rung(inst, limits)
+    if rung == "oracle":
+        return "oracle-s0", lambda sub: oracle.solve_s0_bruteforce(
+            sub, user_limit=limits.oracle_users
+        )
+    # dp_solve and ilp_solve ignore s, so they serve the survivors as is.
+    solver = STRATEGIES[rung]
+    return rung, lambda sub: solver(sub, limits)
 
 
 def _candidates(inst: Instance) -> Listing:
@@ -133,7 +162,6 @@ def branch_solve(
     search.
     """
     require_normalized(inst)
-    start = time.perf_counter()
     inner_name = "custom"
     if s0_solver is None:
         inner_name, s0_solver = _pick_s0(inst, limits)
@@ -168,10 +196,8 @@ def branch_solve(
 
     found = node(0, inst.s)
     if found is not None:
-        found.stats.seconds = time.perf_counter() - start
         return found
     witness = root_teams[0] if inst.s == 0 else None
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, witness, stats)
 
 
@@ -200,7 +226,6 @@ def reduced_solve(
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    start = time.perf_counter()
     inner_name = "custom"
     if s0_solver is None:
         inner_name, s0_solver = _pick_s0(inst, limits)
@@ -241,10 +266,8 @@ def reduced_solve(
 
     found = enumerate_vectors(0, 0, 0)
     if found is not None:
-        found.stats.seconds = time.perf_counter() - start
         return found
     witness = first_teams[0] if s == 0 else None
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, witness, stats)
 
 
@@ -259,11 +282,9 @@ def fastpath_d1_tinf(inst: Instance) -> Verdict:
     it would pin a resource with even lower coverage.
     """
     require_normalized(inst)
-    if inst.d != 1:
-        raise PreconditionError("fastpath requires d=1")
-    if inst.num_resources and inst.t < inst.num_resources:
-        raise PreconditionError("fastpath requires t >= |P| after normalization")
-    start = time.perf_counter()
+    reason = outside_domain(inst, "fastpath")
+    if reason is not None:
+        raise PreconditionError(reason)
     stats = SolveStats(algorithm="fastpath")
     p = inst.num_resources
     stats.nodes = p
@@ -276,7 +297,6 @@ def fastpath_d1_tinf(inst: Instance) -> Verdict:
             worst_r = r
     if worst_cov is not None and worst_cov <= inst.s:
         blocker = frozenset(u for u, mask in enumerate(inst.access) if mask >> worst_r & 1)
-        stats.seconds = time.perf_counter() - start
         return Verdict(UNSAT, BlockerSet(blocker), stats)
     witness = None
     if inst.s == 0:
@@ -287,42 +307,28 @@ def fastpath_d1_tinf(inst: Instance) -> Verdict:
                     team.add(u)
                     break
         witness = TeamSet((frozenset(team),))
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, witness, stats)
 
 
-def _solve_oracle(inst: Instance, limits: Limits) -> Verdict:
-    return oracle.solve_rcp_bruteforce(inst, user_limit=limits.oracle_users)
-
-
-def _solve_dp(inst: Instance, limits: Limits) -> Verdict:
-    return teams.dp_solve(inst, limits=limits)
-
-
-def _solve_ilp(inst: Instance, limits: Limits) -> Verdict:
-    return teams.ilp_solve(inst, limits=limits)
-
-
-def _solve_branch(inst: Instance, limits: Limits) -> Verdict:
-    return branch_solve(inst, limits=limits)
-
-
-def _solve_reduced(inst: Instance, limits: Limits) -> Verdict:
-    return reduced_solve(inst, limits=limits)
-
-
-def _solve_fastpath(inst: Instance, limits: Limits) -> Verdict:
-    return fastpath_d1_tinf(inst)
-
-
 STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
-    "oracle": _solve_oracle,
-    "dp": _solve_dp,
-    "ilp": _solve_ilp,
-    "branch": _solve_branch,
-    "reduced": _solve_reduced,
-    "fastpath": _solve_fastpath,
+    "oracle": lambda inst, limits: oracle.solve_rcp_bruteforce(
+        inst, user_limit=limits.oracle_users
+    ),
+    "dp": lambda inst, limits: teams.dp_solve(inst, limits=limits),
+    "ilp": lambda inst, limits: teams.ilp_solve(inst, limits=limits),
+    "branch": lambda inst, limits: branch_solve(inst, limits=limits),
+    "reduced": lambda inst, limits: reduced_solve(inst, limits=limits),
+    "fastpath": lambda inst, limits: fastpath_d1_tinf(inst),
 }
+
+
+def _auto(inst: Instance, limits: Limits) -> str:
+    if outside_domain(inst, "fastpath") is None:
+        return "fastpath"
+    rung = _rung(inst, limits)
+    if inst.s == 0 or rung == "oracle":
+        return rung
+    return "branch" if rung == "dp" else "reduced"
 
 
 def solve(
@@ -330,38 +336,31 @@ def solve(
 ) -> Verdict:
     """Dispatch to a solver; "auto" picks by parameter shape.
 
-    auto prefers the coverage fast path (d=1, unbounded t), then the
-    branching search with a DP inner solver while d*|P| fits the bit
-    budget, then the class-reduced search, and falls back to the
-    guarded oracle. The verdict's stats name the route taken.
+    auto prefers the coverage fast path (d=1, unbounded t), then walks
+    the budget ladder: with s=0 its rungs are dp, ilp and the guarded
+    oracle, with s>0 the branching search (dp inner solver), the
+    class-reduced search (ilp inner solver) and the oracle. The verdict's
+    stats name the route taken. A named strategy outside the instance's
+    domain (see outside_domain) raises PreconditionError.
     """
     require_normalized(inst)
-    if strategy != "auto":
-        try:
-            runner = STRATEGIES[strategy]
-        except KeyError:
-            raise ValueError(f"unknown strategy {strategy!r}") from None
-        return runner(inst, limits)
-    p = inst.num_resources
-    if inst.d == 1 and (p == 0 or inst.t >= p):
-        return fastpath_d1_tinf(inst)
-    if inst.s == 0:
-        if inst.d * p <= limits.dp_bits:
-            return teams.dp_solve(inst, limits=limits)
-        if (1 << p) <= limits.max_classes:
-            return teams.ilp_solve(inst, limits=limits)
-        return oracle.solve_rcp_bruteforce(inst, user_limit=limits.oracle_users)
-    if inst.d * p <= limits.dp_bits:
-        return branch_solve(inst, limits=limits)
-    if (1 << p) <= limits.max_classes:
-        return reduced_solve(inst, limits=limits)
-    return oracle.solve_rcp_bruteforce(inst, user_limit=limits.oracle_users)
+    if strategy == "auto":
+        strategy = _auto(inst, limits)
+    try:
+        runner = STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}") from None
+    reason = outside_domain(inst, strategy)
+    if reason is not None:
+        raise PreconditionError(reason)
+    return runner(inst, limits)
 
 
 __all__ = [
     "STRATEGIES",
     "branch_solve",
     "fastpath_d1_tinf",
+    "outside_domain",
     "reduced_solve",
     "solve",
 ]

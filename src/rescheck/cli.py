@@ -61,8 +61,6 @@ EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-S0_ONLY = ("dp", "ilp")
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -78,13 +76,6 @@ def _load_normalized(path: str) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_normalized(args.path)
-    if args.algorithm in S0_ONLY and inst.s > 0:
-        print(
-            f"error: algorithm {args.algorithm!r} answers only s=0 instances; "
-            f"this one has s={inst.s}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     limits = Limits(
         dp_bits=args.dp_bits,
         max_classes=args.max_classes,

@@ -8,7 +8,7 @@ know better can lift it with user_limit=None.
 
 from __future__ import annotations
 
-import time
+from collections.abc import Iterable
 from itertools import combinations
 
 from .policy import (
@@ -47,7 +47,6 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
     """
     require_normalized(inst)
     _check_size(inst, user_limit)
-    start = time.perf_counter()
     stats = SolveStats(algorithm="oracle-s0")
     n, d, t = inst.n, inst.d, int(inst.t)
     full = inst.target
@@ -97,11 +96,25 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
 
     initial = tuple((full, 0) for _ in range(d))
     sat = search(0, initial)
-    stats.seconds = time.perf_counter() - start
     if not sat:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     teams = sorted((frozenset(m) for m in members), key=lambda team: tuple(sorted(team)))
     return Verdict(SAT, TeamSet(tuple(teams)), stats)
+
+
+def _survivors_verdict(
+    inst: Instance, removed: Iterable[int], memo: dict[int, Verdict]
+) -> Verdict:
+    # The s=0 verdict on the users left after removing removed, memoized
+    # under the bitmask of those users.
+    kept_mask = (1 << inst.n) - 1
+    for u in removed:
+        kept_mask &= ~(1 << u)
+    cached = memo.get(kept_mask)
+    if cached is None:
+        kept = [u for u in range(inst.n) if kept_mask >> u & 1]
+        cached = memo[kept_mask] = solve_s0_bruteforce(restrict(inst, kept), user_limit=None)
+    return cached
 
 
 def solve_rcp_bruteforce(
@@ -120,35 +133,19 @@ def solve_rcp_bruteforce(
     """
     require_normalized(inst)
     _check_size(inst, user_limit)
-    start = time.perf_counter()
     stats = SolveStats(algorithm="oracle")
     n = inst.n
     memo = s0_memo if s0_memo is not None else {}
-    all_users = (1 << n) - 1
 
-    def survivors_verdict(removed: tuple[int, ...]) -> Verdict:
-        kept_mask = all_users
-        for u in removed:
-            kept_mask &= ~(1 << u)
-        cached = memo.get(kept_mask)
-        if cached is None:
-            kept = [u for u in range(n) if kept_mask >> u & 1]
-            cached = solve_s0_bruteforce(restrict(inst, kept), user_limit=None)
-            memo[kept_mask] = cached
-        return cached
-
-    base = survivors_verdict(())
+    base = _survivors_verdict(inst, (), memo)
     stats.nodes += 1
     if not base.sat:
-        stats.seconds = time.perf_counter() - start
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     for k in range(1, min(inst.s, n) + 1):
         for removed in combinations(range(n), k):
             stats.nodes += 1
-            if not survivors_verdict(removed).sat:
-                stats.seconds = time.perf_counter() - start
+            if not _survivors_verdict(inst, removed, memo).sat:
                 return Verdict(UNSAT, BlockerSet(frozenset(removed)), stats)
-    stats.seconds = time.perf_counter() - start
     witness = base.witness if inst.s == 0 else None
     return Verdict(SAT, witness, stats)
 
@@ -174,23 +171,12 @@ def find_minimal_blocker(
     assert isinstance(verdict.witness, BlockerSet)
     blocker = set(verdict.witness.users)
 
-    def blocks(candidate: set[int]) -> bool:
-        kept = [u for u in range(inst.n) if u not in candidate]
-        kept_mask = 0
-        for u in kept:
-            kept_mask |= 1 << u
-        cached = memo.get(kept_mask)
-        if cached is None:
-            cached = solve_s0_bruteforce(restrict(inst, kept), user_limit=None)
-            memo[kept_mask] = cached
-        return not cached.sat
-
     shrunk = True
     while shrunk:
         shrunk = False
         for u in sorted(blocker):
             candidate = blocker - {u}
-            if blocks(candidate):
+            if not _survivors_verdict(inst, candidate, memo).sat:
                 blocker = candidate
                 shrunk = True
                 break

@@ -122,7 +122,6 @@ class BlockerSet:
 class SolveStats:
     algorithm: str
     nodes: int = 0
-    seconds: float = 0.0
     extras: dict = field(default_factory=dict)
 
 

@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 
-from .blockers import STRATEGIES
+from .blockers import STRATEGIES, outside_domain
 from .oracle import solve_rcp_bruteforce
 from .policy import (
     DEFAULT_LIMITS,
@@ -76,16 +76,6 @@ class SweepReport:
     @property
     def ok(self) -> bool:
         return not self.disagreements
-
-
-def _applicable(inst: Instance) -> list[str]:
-    names = ["branch", "reduced"]
-    if inst.s == 0:
-        names.append("dp")
-        names.append("ilp")
-    if inst.d == 1 and inst.t >= inst.num_resources:
-        names.append("fastpath")
-    return names
 
 
 def _blocker_class_gap(inst: Instance, blocker: BlockerSet) -> str | None:
@@ -149,7 +139,9 @@ class _Runner:
 
     def run_cell(self, inst: Instance, expected: str) -> None:
         self.report.cells += 1
-        for name in _applicable(inst):
+        for name in STRATEGIES:
+            if name == "oracle" or outside_domain(inst, name) is not None:
+                continue
             verdict = STRATEGIES[name](inst, self.config.limits)
             self.report.solver_runs += 1
             self.report.runs_by_algorithm[name] = (
@@ -198,33 +190,14 @@ class _Runner:
                 if self.stop():
                     return
 
-        full_kept = memo.get((1 << base.n) - 1)
         for s in range(base.s + 1):
             inst = replace(base, s=s)
             expected = UNSAT if blocker_size <= s else SAT
             # The oracle's own witnesses go through the same check.
             if expected == UNSAT and s == blocker_size:
-                self.report.witnesses_checked += 1
-                if not verify_witness(inst, Verdict(UNSAT, blocker, overall.stats)):
-                    self.flag(
-                        kind="witness",
-                        algorithm="oracle",
-                        baseline="verify_witness",
-                        expected="valid witness",
-                        got="invalid blocker",
-                        instance=inst,
-                    )
-            if expected == SAT and s == 0 and full_kept is not None:
-                self.report.witnesses_checked += 1
-                if not verify_witness(inst, full_kept):
-                    self.flag(
-                        kind="witness",
-                        algorithm="oracle",
-                        baseline="verify_witness",
-                        expected="valid witness",
-                        got="invalid teams",
-                        instance=inst,
-                    )
+                self.check_team_witness(inst, Verdict(UNSAT, blocker, overall.stats), "oracle")
+            if expected == SAT and s == 0:
+                self.check_team_witness(inst, memo[(1 << base.n) - 1], "oracle")
             if self.stop():
                 return
             self.run_cell(inst, expected)

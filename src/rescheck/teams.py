@@ -15,7 +15,6 @@ which is exactly the definition of the s=0 query failing.
 from __future__ import annotations
 
 import sys
-import time
 
 from .policy import (
     DEFAULT_LIMITS,
@@ -33,14 +32,12 @@ from .policy import (
 )
 
 
-def _trivial_sat(stats: SolveStats, d: int, start: float) -> Verdict:
+def _trivial_sat(stats: SolveStats, d: int) -> Verdict:
     # Empty target: d empty teams cover it vacuously.
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(d))), stats)
 
 
-def _unsat(stats: SolveStats, start: float) -> Verdict:
-    stats.seconds = time.perf_counter() - start
+def _unsat(stats: SolveStats) -> Verdict:
     return Verdict(UNSAT, BlockerSet(frozenset()), stats)
 
 
@@ -70,7 +67,6 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     them alive until the cyclic garbage collector runs.
     """
     require_normalized(inst)
-    start = time.perf_counter()
     stats = SolveStats(algorithm="dp")
     n, p, d = inst.n, inst.num_resources, inst.d
     if d * p > limits.dp_bits:
@@ -79,7 +75,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             "use ilp or raise --dp-bits"
         )
     if p == 0:
-        return _trivial_sat(stats, d, start)
+        return _trivial_sat(stats, d)
     t = int(inst.t)
     full = inst.target
     access = inst.access
@@ -179,7 +175,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         sat = value(n, initial)
         stats.nodes = len(memo)
         if not sat:
-            return _unsat(stats, start)
+            return _unsat(stats)
 
         # Replay the memo to pull out one concrete team assignment.
         teams: list[set[int]] = [set() for _ in range(d)]
@@ -200,7 +196,6 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         sys.setrecursionlimit(old_limit)
         memo.clear()
         shapes.clear()
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)
 
 
@@ -339,10 +334,9 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     that sum to d without overdrawing any class.
     """
     require_normalized(inst)
-    start = time.perf_counter()
     stats = SolveStats(algorithm="ilp")
     if inst.num_resources == 0:
-        return _trivial_sat(stats, inst.d, start)
+        return _trivial_sat(stats, inst.d)
     configs = enumerate_configurations(inst, limits=limits)
     capacities = {
         mask: len(users)
@@ -353,8 +347,7 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     stats.nodes = nodes
     stats.extras["configurations"] = len(configs)
     if vector is None:
-        return _unsat(stats, start)
+        return _unsat(stats)
     witness = reconstruct_teams(inst, vector)
-    stats.seconds = time.perf_counter() - start
     return Verdict(SAT, witness, stats)
 

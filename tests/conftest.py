@@ -45,12 +45,17 @@ def norm(rows, p: int, **kw) -> Instance:
 
 @st.composite
 def instances(draw, max_n=6, max_p=4, max_s=2, max_d=3):
-    """Arbitrary small instances; target is a nonempty submask."""
+    """Arbitrary small instances; target is a nonempty submask.
+
+    The target's size is drawn evenly over 1..m before its resources,
+    so that normalized instances are not mostly single-resource ones.
+    """
     m = draw(st.integers(1, max_p))
     n = draw(st.integers(0, max_n))
     full = (1 << m) - 1
     access = tuple(draw(st.integers(0, full)) for _ in range(n))
-    target = draw(st.integers(1, full))
+    size = draw(st.sampled_from(range(1, m + 1)))
+    target = mask(draw(st.permutations(range(m)))[:size])
     s = draw(st.integers(0, max_s))
     d = draw(st.integers(1, max_d))
     t = draw(st.sampled_from([1, 2, 3, INF]))

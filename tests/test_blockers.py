@@ -240,6 +240,34 @@ class TestRouting:
         assert solve(x, "dp").stats.algorithm == "dp"
         assert solve(x, "oracle").stats.algorithm == "oracle"
 
+    @pytest.mark.parametrize(
+        "name, x, match",
+        [
+            # dp and ilp answer the s=0 question, which is SAT here
+            ("dp", norm([[0]], p=1, s=1, d=1, t=1), "answers only s=0"),
+            ("ilp", norm([[0]], p=1, s=1, d=1, t=1), "answers only s=0"),
+            ("fastpath", norm([[0], [0]], p=1, d=2), "fastpath requires d=1"),
+        ],
+    )
+    def test_solve_refuses_strategies_outside_their_domain(self, name, x, match):
+        with pytest.raises(PreconditionError, match=match):
+            solve(x, name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances(max_n=6, max_p=3, max_d=2))
+    def test_named_strategies_answer_exactly_or_refuse(self, x):
+        y = normalize(x)
+        want = solve_rcp_bruteforce(y).sat
+        for name in STRATEGIES:
+            outside = (name in ("dp", "ilp") and y.s > 0) or (
+                name == "fastpath" and (y.d != 1 or y.t < y.num_resources)
+            )
+            if outside:
+                with pytest.raises(PreconditionError):
+                    solve(y, name)
+            else:
+                assert solve(y, name).sat == want, name
+
     def test_unknown_strategy(self):
         x = norm([[0]], p=1)
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -174,10 +174,8 @@ class TestVerdicts:
 
     def test_wall_clock_is_not_serialized(self):
         x = norm([[0]], p=1, d=1, t=1)
-        fast = Verdict("SAT", None, SolveStats("dp", nodes=3, seconds=0.001))
-        slow = Verdict("SAT", None, SolveStats("dp", nodes=3, seconds=9.999))
-        assert emit_verdict(fast, x) == emit_verdict(slow, x)
-        assert "seconds" not in emit_verdict(fast, x)
+        v = Verdict("SAT", None, SolveStats("dp", nodes=3))
+        assert "seconds" not in emit_verdict(v, x)
 
     def test_witness_and_stats_can_be_omitted(self):
         x = norm([[0]], p=1, d=1, t=1)
