@@ -5,10 +5,12 @@ inner s=0 solver through one step, _solve_survivors. Whether that
 question is SAT depends only on how many survivors each neighborhood
 class keeps, capped at d, so the inner solver sees only the first
 min(|class|, d) survivors of every occupied class and its teams are
-mapped back to the caller's numbering. branch_solve picks removals from
-the team sets it finds; reduced_solve enumerates how many
-representatives to delete per class. fastpath_d1_tinf answers the
-single-team unbounded-size case by counting coverage.
+mapped back to the caller's numbering. The inner solver is always the
+one the budget ladder picks. branch_solve picks removals from the team
+sets it finds; reduced_solve enumerates how many representatives to
+delete per class, one recursion level per deletion, so its depth stays
+within s + 1 however many classes there are. fastpath_d1_tinf answers
+the single-team unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -34,7 +36,6 @@ from .policy import (
     SolveStats,
     TeamSet,
     Verdict,
-    class_partition,
     require_normalized,
     restrict,
 )
@@ -95,7 +96,7 @@ def _candidates(inst: Instance) -> Listing:
 
 def _solve_survivors(
     inst: Instance,
-    s0_solver: S0Solver,
+    inner: S0Solver,
     listing: Listing,
     removed_mask: int,
     answers: dict[tuple[int, ...], bool] | None = None,
@@ -124,7 +125,7 @@ def _solve_survivors(
     counts = tuple(taken.values())
     if answers is not None and not need_teams and counts in answers:
         return answers[counts], None
-    sub = s0_solver(restrict(inst, kept))
+    sub = inner(restrict(inst, kept))
     if answers is not None:
         answers[counts] = sub.sat
     if not sub.sat or not isinstance(sub.witness, TeamSet):
@@ -137,12 +138,7 @@ def _blocker(removed_mask: int, n: int) -> BlockerSet:
     return BlockerSet(frozenset(u for u in range(n) if removed_mask >> u & 1))
 
 
-def branch_solve(
-    inst: Instance,
-    s0_solver: S0Solver | None = None,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Verdict:
+def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Branching search for a blocker of size at most s.
 
     At every node, solve the zero-removal query on the surviving users.
@@ -162,9 +158,7 @@ def branch_solve(
     search.
     """
     require_normalized(inst)
-    inner_name = "custom"
-    if s0_solver is None:
-        inner_name, s0_solver = _pick_s0(inst, limits)
+    inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
     listing = _candidates(inst)
     root_teams: list[TeamSet | None] = [None]
@@ -177,7 +171,7 @@ def branch_solve(
         if removed_mask in outcomes:
             return outcomes[removed_mask]
         sat, found = _solve_survivors(
-            inst, s0_solver, listing, removed_mask, answers, need_teams=budget > 0
+            inst, inner, listing, removed_mask, answers, need_teams=budget > 0
         )
         if not removed_mask:
             root_teams[0] = found
@@ -201,12 +195,7 @@ def branch_solve(
     return Verdict(SAT, witness, stats)
 
 
-def reduced_solve(
-    inst: Instance,
-    s0_solver: S0Solver | None = None,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-) -> Verdict:
+def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Blocker search over per-class deletion counts.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
@@ -226,45 +215,52 @@ def reduced_solve(
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    inner_name = "custom"
-    if s0_solver is None:
-        inner_name, s0_solver = _pick_s0(inst, limits)
+    inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
     listing = _candidates(inst)
+    members: dict[int, list[int]] = {}
+    for u, mask in listing[0]:
+        members.setdefault(mask, []).append(u)
 
-    # Per occupied class: its representatives, the mask of its spare
-    # users and their number. Class 0 users appear in no useful team and
-    # no minimal blocker.
-    classes: list[tuple[tuple[int, ...], int, int]] = []
-    for mask, members in class_partition(inst).classes.items():
-        if mask:
+    # Per class that a deletion can touch within the budget, in class
+    # bitmask order: its representatives, the mask of its spare users
+    # and their number. The listing holds a class's first d + s members;
+    # a class that fills them costs at least s + 1 to touch.
+    classes: list[tuple[list[int], int, int]] = []
+    for mask in sorted(members):
+        listed = members[mask]
+        if len(listed) < d + s:
             spare_mask = 0
-            for u in members[d:]:
+            for u in listed[d:]:
                 spare_mask |= 1 << u
-            classes.append((members[:d], spare_mask, max(len(members) - d, 0)))
-    stats.extras["reduced_users"] = sum(len(reps) for reps, _, _ in classes)
+            classes.append((listed[:d], spare_mask, max(len(listed) - d, 0)))
+    stats.extras["reduced_users"] = sum(min(len(m), d) for m in members.values())
     first_teams: list[TeamSet | None] = [None]
 
-    def enumerate_vectors(idx: int, cost: int, removed_mask: int) -> Verdict | None:
-        if idx == len(classes):
-            stats.nodes += 1
-            sat, found = _solve_survivors(inst, s0_solver, listing, removed_mask)
-            if not sat:
-                return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
-            if not removed_mask:
-                first_teams[0] = found
-            return None
-        found = enumerate_vectors(idx + 1, cost, removed_mask)
-        reps, drop, spare = classes[idx]
-        for k in range(1, len(reps) + 1):
-            if found is not None or cost + k + spare > s:
-                break  # larger k only costs more
-            drop |= 1 << reps[k - 1]
-            found = enumerate_vectors(idx + 1, cost + k + spare, removed_mask | drop)
-        return found
+    def search(start: int, cost: int, removed_mask: int) -> Verdict | None:
+        # Deletion vectors in lexicographic order of their per-class
+        # counts, one call per deletion: the vector that deletes nothing
+        # beyond removed_mask, then those whose first further deletion
+        # is in the last class, and so on back to class start.
+        stats.nodes += 1
+        sat, found = _solve_survivors(inst, inner, listing, removed_mask)
+        if not sat:
+            return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+        if not removed_mask:
+            first_teams[0] = found
+        for idx in range(len(classes) - 1, start - 1, -1):
+            reps, drop, spare = classes[idx]
+            for k in range(1, len(reps) + 1):
+                if cost + k + spare > s:
+                    break  # larger k only costs more
+                drop |= 1 << reps[k - 1]
+                result = search(idx + 1, cost + k + spare, removed_mask | drop)
+                if result is not None:
+                    return result
+        return None
 
-    found = enumerate_vectors(0, 0, 0)
+    found = search(0, 0, 0)
     if found is not None:
         return found
     witness = first_teams[0] if s == 0 else None

@@ -14,6 +14,8 @@ than d * |P| users. Every deletion is logged in a trace; replaying the
 trace reproduces the kernel, and a team set found on the kernel can be
 lifted back to the original instance by reading the trace backwards.
 
+Both rules delete through policy.project, the projection normalize
+uses, so t is re-clamped to the shrunken target after every step.
 Finite t is refused: deleting X can break teams that relied on size
 slack, only the unbounded regime (t >= |P|, i.e. t normalized to |P|)
 is safe here.
@@ -27,6 +29,7 @@ from .policy import (
     Instance,
     PreconditionError,
     TeamSet,
+    project,
     require_normalized,
 )
 
@@ -58,38 +61,6 @@ class KernelTrace:
     trivially_sat: bool = False
 
 
-def _drop(inst: Instance, users: set[int], resources: set[int]) -> Instance:
-    """Delete the given users and resources, renumbering densely.
-
-    Surviving access masks are projected onto the surviving resources.
-    t is re-clamped to the shrunken target, which is safe in the
-    unbounded regime because covering teams never need more members
-    than there are target resources.
-    """
-    kept_users = [u for u in range(inst.n) if u not in users]
-    kept_resources = [r for r in range(inst.num_resources) if r not in resources]
-    access = []
-    for u in kept_users:
-        mask = inst.access[u]
-        new_mask = 0
-        for j, r in enumerate(kept_resources):
-            if mask >> r & 1:
-                new_mask |= 1 << j
-        access.append(new_mask)
-    p = len(kept_resources)
-    new_t = min(int(inst.t), p) if p else inst.t
-    return Instance(
-        access=tuple(access),
-        num_resources=p,
-        target=(1 << p) - 1,
-        s=inst.s,
-        d=inst.d,
-        t=new_t,
-        user_labels=tuple(inst.user_labels[u] for u in kept_users),
-        resource_labels=tuple(inst.resource_labels[r] for r in kept_resources),
-    )
-
-
 def rule1_strip(inst: Instance) -> tuple[Instance, KernelTrace]:
     """Drop users with no access to any target resource."""
     require_normalized(inst)
@@ -97,7 +68,7 @@ def rule1_strip(inst: Instance) -> tuple[Instance, KernelTrace]:
     if not dead:
         return inst, KernelTrace(())
     step = KernelStep(rule=1, users=tuple(inst.user_labels[u] for u in sorted(dead)))
-    return _drop(inst, dead, set()), KernelTrace((step,))
+    return project(inst, dead, ()), KernelTrace((step,))
 
 
 def find_d_expansion(inst: Instance, d: int) -> ExpansionWitness | None:
@@ -222,7 +193,7 @@ def rule2_apply(inst: Instance, witness: ExpansionWitness) -> tuple[Instance, Ke
             (inst.resource_labels[r], inst.user_labels[u]) for r, u in witness.pairs
         ),
     )
-    return _drop(inst, set(witness.y), set(witness.x)), KernelTrace((step,))
+    return project(inst, set(witness.y), set(witness.x)), KernelTrace((step,))
 
 
 def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
@@ -270,7 +241,7 @@ def replay(inst: Instance, trace: KernelTrace) -> Instance:
             resources = {res_idx[label] for label in step.resources}
         except KeyError as missing:
             raise ValueError(f"trace names unknown label {missing}") from None
-        current = _drop(current, users, resources)
+        current = project(current, users, resources)
     return current
 
 

@@ -151,21 +151,18 @@ def solve_rcp_bruteforce(
 
 
 def find_minimal_blocker(
-    inst: Instance,
-    *,
-    user_limit: int | None = 20,
-    verdict: Verdict | None = None,
-    s0_memo: dict[int, Verdict] | None = None,
+    inst: Instance, *, verdict: Verdict | None = None
 ) -> BlockerSet | None:
     """Inclusion-minimal blocker of size <= s, or None when resilient.
 
-    Starts from the oracle's minimum-cardinality blocker and drops
-    members one at a time while the remainder still blocks, until no
-    single removal can be spared.
+    Starts from the given verdict's blocker, by default the guarded
+    oracle's minimum-cardinality one, and drops members one at a time
+    while the remainder still blocks, until no single removal can be
+    spared.
     """
-    memo = s0_memo if s0_memo is not None else {}
+    memo: dict[int, Verdict] = {}
     if verdict is None:
-        verdict = solve_rcp_bruteforce(inst, user_limit=user_limit, s0_memo=memo)
+        verdict = solve_rcp_bruteforce(inst, s0_memo=memo)
     if verdict.sat:
         return None
     assert isinstance(verdict.witness, BlockerSet)

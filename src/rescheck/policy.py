@@ -10,13 +10,20 @@ Users and resources are dense integer indices internally; per-user
 access rights and the target set P are stored as bitmasks over the
 resource indices. String labels are carried along so witnesses can be
 reported in the caller's vocabulary.
+
+Two functions cut instances down. restrict keeps a subset of users and
+leaves the query as it is; the searches call it at every node. project
+deletes users and resources, renumbers densely, keeps labels, projects
+the target and clamps t; normalize and every kernel reduction are
+projections. class_partition groups users by the target resources they
+reach, the neighborhood classes the solvers count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 INF = math.inf
 
@@ -136,21 +143,6 @@ class Verdict:
         return self.answer == SAT
 
 
-@dataclass
-class ClassPartition:
-    """Users grouped by which target resources they can reach.
-
-    classes maps each occupied neighborhood bitmask C (= N(u) & P) to
-    the ascending tuple of users in that class; keys are stored in
-    ascending mask order.
-    """
-
-    classes: dict[int, tuple[int, ...]]
-
-    def members(self, mask: int) -> tuple[int, ...]:
-        return self.classes.get(mask, ())
-
-
 @dataclass(frozen=True)
 class Limits:
     """Search budgets; solvers fail loudly with BudgetError beyond them."""
@@ -191,38 +183,61 @@ def restrict(inst: Instance, users: Iterable[int]) -> Instance:
     )
 
 
-def normalize(inst: Instance) -> Instance:
-    """Project the instance onto its target resources and clamp t.
+def project(
+    inst: Instance, users: Collection[int], resources: Collection[int]
+) -> Instance:
+    """Delete the given users and resources, renumbering densely.
 
-    Resources outside P never constrain a team, so they are dropped and
-    the survivors renumbered; original identities stay in the labels.
-    An unbounded (or oversized) t is equivalent to t = |P|, because any
-    covering team can be pruned to at most one user per target
-    resource. An empty target is rejected, res(P, ...) is undefined
-    there.
+    Surviving access masks and the target are projected onto the
+    surviving resources, and labels keep the original identities. t is
+    clamped to the number of surviving resources (an unbounded t
+    becomes that number), which changes no answer: any covering team
+    can be pruned to at most one user per target resource. With no
+    resources left, t is kept.
     """
-    kept = inst.target_resources()
-    if not kept:
-        raise DegenerateInstanceError("target set P is empty")
-    p = len(kept)
-    new_t = p if inst.t == INF else min(inst.t, p)
+    kept = [r for r in range(inst.num_resources) if r not in resources]
+    masks, labels = inst.access, inst.user_labels
+    if users:
+        kept_users = [u for u in range(inst.n) if u not in users]
+        masks = tuple(masks[u] for u in kept_users)
+        labels = tuple(labels[u] for u in kept_users)
     access = []
-    for mask in inst.access:
+    for mask in masks:
         new_mask = 0
         for j, r in enumerate(kept):
             if mask >> r & 1:
                 new_mask |= 1 << j
         access.append(new_mask)
+    p = len(kept)
+    target = 0
+    for j, r in enumerate(kept):
+        if inst.target >> r & 1:
+            target |= 1 << j
     return Instance(
         access=tuple(access),
         num_resources=p,
-        target=(1 << p) - 1,
+        target=target,
         s=inst.s,
         d=inst.d,
-        t=new_t,
-        user_labels=inst.user_labels,
+        t=min(inst.t, p) if p else inst.t,
+        user_labels=labels,
         resource_labels=tuple(inst.resource_labels[r] for r in kept),
     )
+
+
+def normalize(inst: Instance) -> Instance:
+    """Project the instance onto its target resources and clamp t.
+
+    Resources outside P never constrain a team, so they are dropped and
+    the survivors renumbered; original identities stay in the labels.
+    An unbounded (or oversized) t is equivalent to t = |P| (see
+    project). An empty target is rejected, res(P, ...) is undefined
+    there.
+    """
+    if not inst.target:
+        raise DegenerateInstanceError("target set P is empty")
+    outside = [r for r in range(inst.num_resources) if not inst.target >> r & 1]
+    return project(inst, (), outside)
 
 
 def is_normalized(inst: Instance) -> bool:
@@ -239,11 +254,16 @@ def require_normalized(inst: Instance) -> None:
         raise PreconditionError("solver requires a normalized instance (run normalize first)")
 
 
-def class_partition(inst: Instance) -> ClassPartition:
+def class_partition(inst: Instance) -> dict[int, tuple[int, ...]]:
+    """Users grouped by which target resources they can reach.
+
+    Maps each occupied neighborhood bitmask C (= N(u) & P) to the
+    ascending tuple of users in that class, keys in ascending order.
+    """
     groups: dict[int, list[int]] = {}
     for u, mask in enumerate(inst.access):
         groups.setdefault(mask & inst.target, []).append(u)
-    return ClassPartition({mask: tuple(groups[mask]) for mask in sorted(groups)})
+    return {mask: tuple(groups[mask]) for mask in sorted(groups)}
 
 
 def verify_witness(inst: Instance, verdict: Verdict) -> bool:

@@ -39,13 +39,19 @@ def _fail(field: str, msg: str) -> None:
     raise InstanceFormatError(f"{field}: {msg}")
 
 
-def _load(text: str) -> Any:
+def _load(text: str) -> dict[str, Any]:
+    """Parse a document whose root must be a JSON object of our version."""
     try:
-        return json.loads(text)
+        root = json.loads(text)
     except json.JSONDecodeError as err:
         raise InstanceFormatError(
             f"syntax error: {err.msg} (line {err.lineno}, column {err.colno})"
         ) from None
+    if not isinstance(root, dict):
+        _fail("document", "expected a JSON object at top level")
+    if root.get("version") != FORMAT_VERSION:
+        _fail("version", f"expected {FORMAT_VERSION}, got {root.get('version')!r}")
+    return root
 
 
 def _require_int(value: Any, field: str, minimum: int) -> int:
@@ -54,6 +60,21 @@ def _require_int(value: Any, field: str, minimum: int) -> int:
     if value < minimum:
         _fail(field, f"must be at least {minimum}, got {value}")
     return value
+
+
+def _resource_mask(ids: Any, field: str, res_index: dict[str, int]) -> int:
+    # A list of distinct known resource ids, as a bitmask.
+    if not isinstance(ids, list):
+        _fail(field, "expected a list of resource ids")
+    mask = 0
+    for x, rid in enumerate(ids):
+        if not isinstance(rid, str) or rid not in res_index:
+            _fail(f"{field}[{x}]", f"unknown resource id {rid!r}")
+        bit = 1 << res_index[rid]
+        if mask & bit:
+            _fail(f"{field}[{x}]", f"duplicate resource id {rid!r}")
+        mask |= bit
+    return mask
 
 
 @dataclass(frozen=True)
@@ -66,10 +87,6 @@ class InstanceDocument:
 
 def parse_instance_document(text: str) -> InstanceDocument:
     root = _load(text)
-    if not isinstance(root, dict):
-        _fail("document", "expected a JSON object at top level")
-    if root.get("version") != FORMAT_VERSION:
-        _fail("version", f"expected {FORMAT_VERSION}, got {root.get('version')!r}")
 
     resources = root.get("resources")
     if not isinstance(resources, list) or not all(isinstance(r, str) for r in resources):
@@ -94,34 +111,13 @@ def parse_instance_document(text: str) -> InstanceDocument:
         if uid in seen_users:
             _fail(f"{field}.id", f"duplicate user id {uid!r}")
         seen_users.add(uid)
-        granted = entry.get("resources")
-        if not isinstance(granted, list):
-            _fail(f"{field}.resources", "expected a list of resource ids")
-        mask = 0
-        for x, rid in enumerate(granted):
-            if not isinstance(rid, str) or rid not in res_index:
-                _fail(f"{field}.resources[{x}]", f"unknown resource id {rid!r}")
-            bit = 1 << res_index[rid]
-            if mask & bit:
-                _fail(f"{field}.resources[{x}]", f"duplicate resource id {rid!r}")
-            mask |= bit
-        access.append(mask)
+        access.append(_resource_mask(entry.get("resources"), f"{field}.resources", res_index))
         user_labels.append(uid)
 
     policy = root.get("policy")
     if not isinstance(policy, dict):
         _fail("policy", "expected an object with P, s, d, t")
-    targets = policy.get("P")
-    if not isinstance(targets, list):
-        _fail("policy.P", "expected a list of resource ids")
-    target = 0
-    for x, rid in enumerate(targets):
-        if not isinstance(rid, str) or rid not in res_index:
-            _fail(f"policy.P[{x}]", f"unknown resource id {rid!r}")
-        bit = 1 << res_index[rid]
-        if target & bit:
-            _fail(f"policy.P[{x}]", f"duplicate resource id {rid!r}")
-        target |= bit
+    target = _resource_mask(policy.get("P"), "policy.P", res_index)
     s = _require_int(policy.get("s"), "policy.s", 0)
     d = _require_int(policy.get("d"), "policy.d", 1)
     t_raw = policy.get("t")
@@ -228,10 +224,6 @@ def emit_verdict(
 
 def parse_verdict(text: str, inst: Instance) -> Verdict:
     root = _load(text)
-    if not isinstance(root, dict):
-        _fail("document", "expected a JSON object at top level")
-    if root.get("version") != FORMAT_VERSION:
-        _fail("version", f"expected {FORMAT_VERSION}, got {root.get('version')!r}")
     answer = root.get("answer")
     if answer not in (SAT, UNSAT):
         _fail("answer", f"expected {SAT!r} or {UNSAT!r}, got {answer!r}")
@@ -304,10 +296,6 @@ def emit_trace(trace: KernelTrace) -> str:
 
 def parse_trace(text: str) -> KernelTrace:
     root = _load(text)
-    if not isinstance(root, dict):
-        _fail("document", "expected a JSON object at top level")
-    if root.get("version") != FORMAT_VERSION:
-        _fail("version", f"expected {FORMAT_VERSION}, got {root.get('version')!r}")
     steps_raw = root.get("steps")
     if not isinstance(steps_raw, list):
         _fail("steps", "expected a list")

@@ -81,9 +81,8 @@ class SweepReport:
 def _blocker_class_gap(inst: Instance, blocker: BlockerSet) -> str | None:
     """Return a complaint when a minimal blocker leaves d or more users
     in a class it touches, None when the inequality holds everywhere."""
-    part = class_partition(inst)
     removed = blocker.users
-    for mask, members in part.classes.items():
+    for mask, members in class_partition(inst).items():
         touched = [u for u in members if u in removed]
         if touched and len(members) - len(touched) >= inst.d:
             return (

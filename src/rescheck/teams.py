@@ -215,7 +215,7 @@ def enumerate_configurations(
             f"configuration budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    masks = [m for m in class_partition(inst).classes if m]
+    masks = [m for m in class_partition(inst) if m]
     full = inst.target
     t = int(inst.t)
     suffix = [0] * (len(masks) + 1)
@@ -254,22 +254,14 @@ def ilp_feasible(
     configs: list[tuple[int, ...]],
     capacities: dict[int, int],
     d: int,
-) -> dict[tuple[int, ...], int] | None:
+) -> tuple[dict[tuple[int, ...], int] | None, int]:
     """First multiplicity vector filling d teams within class capacities.
 
     Depth-first over the configuration list, multiplicities tried in
     ascending order, so the result is deterministic. Returns the
-    nonzero counts, or None when no assignment works.
+    nonzero counts, None when no assignment works, and the number of
+    search nodes.
     """
-    vec, _ = _ilp_feasible(configs, capacities, d)
-    return vec
-
-
-def _ilp_feasible(
-    configs: list[tuple[int, ...]],
-    capacities: dict[int, int],
-    d: int,
-) -> tuple[dict[tuple[int, ...], int] | None, int]:
     remaining = dict(capacities)
     counts: list[int] = [0] * len(configs)
     nodes = 0
@@ -311,7 +303,7 @@ def reconstruct_teams(
     pools never run dry; running dry anyway means the vector did not
     come from ilp_feasible and is an internal error.
     """
-    pools = {mask: list(users) for mask, users in class_partition(inst).classes.items()}
+    pools = {mask: list(users) for mask, users in class_partition(inst).items()}
     teams = []
     for parts, count in vector.items():
         for _ in range(count):
@@ -340,10 +332,10 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     configs = enumerate_configurations(inst, limits=limits)
     capacities = {
         mask: len(users)
-        for mask, users in class_partition(inst).classes.items()
+        for mask, users in class_partition(inst).items()
         if mask
     }
-    vector, nodes = _ilp_feasible(configs, capacities, inst.d)
+    vector, nodes = ilp_feasible(configs, capacities, inst.d)
     stats.nodes = nodes
     stats.extras["configurations"] = len(configs)
     if vector is None:

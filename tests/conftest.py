@@ -47,14 +47,16 @@ def norm(rows, p: int, **kw) -> Instance:
 def instances(draw, max_n=6, max_p=4, max_s=2, max_d=3):
     """Arbitrary small instances; target is a nonempty submask.
 
-    The target's size is drawn evenly over 1..m before its resources,
-    so that normalized instances are not mostly single-resource ones.
+    The target's size is drawn evenly over 1..max_p first, then the
+    resource count m evenly over size..max_p, so that normalized
+    instances are spread over every p rather than mostly
+    single-resource ones.
     """
-    m = draw(st.integers(1, max_p))
+    size = draw(st.sampled_from(range(1, max_p + 1)))
+    m = draw(st.sampled_from(range(size, max_p + 1)))
     n = draw(st.integers(0, max_n))
     full = (1 << m) - 1
     access = tuple(draw(st.integers(0, full)) for _ in range(n))
-    size = draw(st.sampled_from(range(1, m + 1)))
     target = mask(draw(st.permutations(range(m)))[:size])
     s = draw(st.integers(0, max_s))
     d = draw(st.integers(1, max_d))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rescheck.teams
 from conftest import instances, norm
 from rescheck import (
     INF,
@@ -30,7 +31,6 @@ from rescheck import (
     restrict,
     solve,
     solve_rcp_bruteforce,
-    solve_s0_bruteforce,
     verify_witness,
 )
 
@@ -69,11 +69,14 @@ class TestBranch:
         cap = sum((x.d * x.t) ** i for i in range(x.s + 1))
         assert v.stats.nodes <= cap
 
-    def test_custom_inner_solver(self):
+    def test_oracle_inner_solver(self):
+        # neither dp nor class counting fits, so the ladder's last rung
+        # answers the survivors
         x = norm([[0]], p=1, s=1, d=1, t=1)
-        v = branch_solve(x, lambda sub: solve_s0_bruteforce(sub, user_limit=None))
-        assert v.stats.algorithm == "branch+custom"
+        v = branch_solve(x, limits=Limits(dp_bits=0, max_classes=1))
+        assert v.stats.algorithm == "branch+oracle-s0"
         assert not v.sat
+        assert v.witness == BlockerSet(frozenset({0}))
 
     @settings(max_examples=80, deadline=None)
     @given(instances(max_n=6, max_p=3, max_d=2))
@@ -119,15 +122,16 @@ class TestReduced:
             assert v.witness == BlockerSet(frozenset(blocker))
             assert verify_witness(x, v)
 
-    def test_s0_makes_one_inner_call(self):
+    def test_s0_makes_one_inner_call(self, monkeypatch):
         calls = []
 
-        def counting(sub):
+        def counting(sub, *, limits):
             calls.append(sub)
-            return solve_s0_bruteforce(sub, user_limit=None)
+            return dp_solve(sub, limits=limits)
 
+        monkeypatch.setattr(rescheck.teams, "dp_solve", counting)
         x = norm([[0], [1]], p=2, s=0, d=1, t=2)
-        v = reduced_solve(x, counting)
+        v = reduced_solve(x)
         assert v.sat and verify_witness(x, v)
         assert len(calls) == 1
         assert v.stats.nodes == 1
@@ -293,8 +297,7 @@ def test_minimal_blockers_nearly_empty_touched_classes(x):
     blocker = find_minimal_blocker(y)
     if blocker is None:
         return
-    part = class_partition(y)
-    for mask, members in part.classes.items():
+    for mask, members in class_partition(y).items():
         touched = [u for u in members if u in blocker.users]
         if touched:
             assert len(members) - len(touched) < y.d

@@ -88,6 +88,19 @@ class TestSolve:
         assert captured.out == ""
         assert "error: internal error: maximum recursion depth" in captured.err
 
+    def test_many_classes_exit_on_the_budget_not_a_crash(self, tmp_path, capsys):
+        # 1208 occupied classes: reduced+ilp must not recurse once per
+        # class; the configuration budget stops it first
+        path = str(tmp_path / "x.json")
+        assert main([
+            "generate", "random", "--users", "3000", "--resources", "11",
+            "--density", "0.35", "--s", "1", "--d", "3", "--t", "3",
+            "--seed", "1", "--out", path,
+        ]) == EXIT_SAT
+        capsys.readouterr()
+        assert main(["solve", path]) == EXIT_BUDGET
+        assert "error: configuration budget" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err

@@ -148,26 +148,23 @@ class TestClassPartition:
     def test_groups_by_target_neighborhood(self):
         # u0,u1 reach exactly {r0}; u2 reaches {r0,r1}
         x = inst([[0], [0], [0, 1]], p=2)
-        part = class_partition(x)
-        assert part.classes == {0b01: (0, 1), 0b11: (2,)}
-        assert part.members(0b01) == (0, 1)
-        assert part.members(0b10) == ()
+        assert class_partition(x) == {0b01: (0, 1), 0b11: (2,)}
 
     def test_masks_are_projected_onto_target(self):
         x = Instance(access=(0b111,), num_resources=3, target=0b011)
-        assert class_partition(x).classes == {0b011: (0,)}
+        assert class_partition(x) == {0b011: (0,)}
 
     @given(instances())
     def test_partitions_all_users(self, x):
         part = class_partition(x)
         seen: list[int] = []
-        for m, members in part.classes.items():
+        for m, members in part.items():
             assert m & ~x.target == 0
             for u in members:
                 assert x.access[u] & x.target == m
             seen.extend(members)
         assert sorted(seen) == list(range(x.n))
-        assert list(part.classes) == sorted(part.classes)
+        assert list(part) == sorted(part)
 
 
 class TestVerifyWitness:

@@ -195,7 +195,7 @@ class TestConfigurations:
     @given(instances(max_n=6, max_p=3))
     def test_every_configuration_covers_and_fits(self, x):
         y = normalize(x)
-        occupied = set(class_partition(y).classes)
+        occupied = set(class_partition(y))
         for config in enumerate_configurations(y):
             assert len(config) <= y.t
             assert len(set(config)) == len(config)
@@ -209,15 +209,16 @@ class TestConfigurations:
 
 class TestIlpFeasible:
     def test_multiplicity_two_on_one_shape(self):
-        assert ilp_feasible([(0b1,)], {0b1: 2}, d=2) == {(0b1,): 2}
+        # multiplicities 0 and 1 each reach the end of the list short
+        assert ilp_feasible([(0b1,)], {0b1: 2}, d=2) == ({(0b1,): 2}, 4)
 
     def test_capacity_shortfall(self):
-        assert ilp_feasible([(0b1,)], {0b1: 1}, d=2) is None
+        assert ilp_feasible([(0b1,)], {0b1: 1}, d=2) == (None, 3)
 
     def test_mixed_shapes_split_the_classes(self):
         configs = [(0b11,), (0b01, 0b10), (0b01, 0b11), (0b10, 0b11)]
         capacities = {0b11: 1, 0b01: 1, 0b10: 1}
-        vector = ilp_feasible(configs, capacities, d=2)
+        vector, _ = ilp_feasible(configs, capacities, d=2)
         assert vector == {(0b11,): 1, (0b01, 0b10): 1}
 
     def test_reconstruct_takes_lowest_free_user_per_class(self):
