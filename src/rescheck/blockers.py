@@ -16,11 +16,16 @@ The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
 others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
 class counting while 2^|P| fits max_classes, else the oracle) that
-"auto" and the searches' choice of inner solver both read.
+"auto" and the searches' choice of inner solver both read. On the
+oracle rung, auto runs the oracle itself only when all n users fit its
+guard, and branch_solve otherwise, even at s=0, where it makes one
+inner call; that search's inner solver is the guarded oracle while its
+representatives fit oracle_users, else the pivot search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from . import oracle, teams
@@ -70,9 +75,16 @@ def _rung(inst: Instance, limits: Limits) -> str:
     return "oracle"
 
 
-def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
+def _pick_s0(inst: Instance, limits: Limits, listing: Listing) -> tuple[str, S0Solver]:
     rung = _rung(inst, limits)
     if rung == "oracle":
+        # Inner calls see at most min(|class|, d) users per occupied
+        # class, the root call exactly that many. Past oracle_users the
+        # root call would raise on the oracle's guard; the pivot search
+        # has none.
+        listed = Counter(mask for _, mask in listing[0])
+        if sum(min(count, inst.d) for count in listed.values()) > limits.oracle_users:
+            return "pivot", teams.pivot_solve
         return "oracle-s0", lambda sub: oracle.solve_s0_bruteforce(
             sub, user_limit=limits.oracle_users
         )
@@ -158,9 +170,9 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     search.
     """
     require_normalized(inst)
-    inner_name, inner = _pick_s0(inst, limits)
-    stats = SolveStats(algorithm=f"branch+{inner_name}")
     listing = _candidates(inst)
+    inner_name, inner = _pick_s0(inst, limits, listing)
+    stats = SolveStats(algorithm=f"branch+{inner_name}")
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
     answers: dict[tuple[int, ...], bool] = {}
@@ -215,10 +227,10 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    inner_name, inner = _pick_s0(inst, limits)
+    listing = _candidates(inst)
+    inner_name, inner = _pick_s0(inst, limits, listing)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
-    listing = _candidates(inst)
     members: dict[int, list[int]] = {}
     for u, mask in listing[0]:
         members.setdefault(mask, []).append(u)
@@ -322,7 +334,9 @@ def _auto(inst: Instance, limits: Limits) -> str:
     if outside_domain(inst, "fastpath") is None:
         return "fastpath"
     rung = _rung(inst, limits)
-    if inst.s == 0 or rung == "oracle":
+    if rung == "oracle":
+        return "oracle" if inst.n <= limits.oracle_users else "branch"
+    if inst.s == 0:
         return rung
     return "branch" if rung == "dp" else "reduced"
 
@@ -333,9 +347,11 @@ def solve(
     """Dispatch to a solver; "auto" picks by parameter shape.
 
     auto prefers the coverage fast path (d=1, unbounded t), then walks
-    the budget ladder: with s=0 its rungs are dp, ilp and the guarded
-    oracle, with s>0 the branching search (dp inner solver), the
-    class-reduced search (ilp inner solver) and the oracle. The verdict's
+    the budget ladder: with s=0 its rungs are dp and ilp, with s>0 the
+    branching search (dp inner solver) and the class-reduced search (ilp
+    inner solver); past them it takes the guarded oracle when n fits
+    oracle_users and the branching search otherwise, whose inner solver
+    is the oracle or the pivot search. The verdict's
     stats name the route taken. A named strategy outside the instance's
     domain (see outside_domain) raises PreconditionError.
     """

@@ -106,9 +106,6 @@ class Instance:
     def p(self) -> int:
         return self.target.bit_count()
 
-    def target_resources(self) -> list[int]:
-        return [r for r in range(self.num_resources) if self.target >> r & 1]
-
 
 @dataclass(frozen=True)
 class TeamSet:

@@ -1,20 +1,24 @@
 """Solvers for the zero-removal case: find d disjoint covering teams.
 
-Two exact routes with different parameter sweet spots:
+Three exact routes with different parameter sweet spots:
 
 * dp_solve: dynamic programming over (user prefix, per-team remaining
   demand and size), exponential only in d*|P|.
 * ilp_solve: enumerate team configurations (sets of neighborhood
   classes) and search for a feasible multiplicity vector, exponential
   only in |P|.
+* pivot_solve: branch on the users who reach a team's lowest missing
+  resource, at most n^(d*t) leaves whatever |P| is; each call stops
+  at PIVOT_MAX_NODES states.
 
-Both treat s as 0; an UNSAT verdict carries the empty blocker set,
+All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Iterator
 
 from .policy import (
     DEFAULT_LIMITS,
@@ -261,36 +265,52 @@ def ilp_feasible(
     ascending order, so the result is deterministic. Returns the
     nonzero counts, None when no assignment works, and the number of
     search nodes.
+
+    The search runs on an explicit stack, one level per configuration:
+    counts[idx] is the multiplicity on trial at level idx and tops[idx]
+    its largest value. Moving a level from x to x + 1 takes one more
+    user from each of its classes, and exhausting a level gives its x
+    back, so every node sees the capacities a recursive search would.
     """
     remaining = dict(capacities)
-    counts: list[int] = [0] * len(configs)
+    last = len(configs)
+    counts = [0] * last
+    tops = [0] * last
     nodes = 0
-
-    def dfs(idx: int, need: int) -> bool:
-        nonlocal nodes
+    idx, need = 0, d
+    while True:
         nodes += 1
         if need == 0:
-            return True
-        if idx == len(configs):
-            return False
-        parts = configs[idx]
-        cap = min((remaining.get(m, 0) for m in parts), default=0)
-        top = min(need, cap)
-        for x in range(top + 1):
-            counts[idx] = x
+            vec = {configs[i]: counts[i] for i in range(last) if counts[i]}
+            return vec, nodes
+        if idx < last:
+            # Descend with multiplicity 0; the need is unchanged.
+            parts = configs[idx]
+            top = need if parts else 0
             for m in parts:
-                remaining[m] -= x
-            if dfs(idx + 1, need - x):
-                return True
-            for m in parts:
+                cap = remaining.get(m, 0)
+                if cap < top:
+                    top = cap
+            tops[idx] = top
+            idx += 1
+            continue
+        # Dead end: back up to the deepest level with a larger x left.
+        while True:
+            idx -= 1
+            if idx < 0:
+                return None, nodes
+            x = counts[idx]
+            if x < tops[idx]:
+                for m in configs[idx]:
+                    remaining[m] -= 1
+                counts[idx] = x + 1
+                need -= 1
+                idx += 1
+                break
+            for m in configs[idx]:
                 remaining[m] += x
+            need += x
             counts[idx] = 0
-        return False
-
-    if dfs(0, d):
-        vec = {configs[i]: counts[i] for i in range(len(configs)) if counts[i]}
-        return vec, nodes
-    return None, nodes
 
 
 def reconstruct_teams(
@@ -343,3 +363,78 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     witness = reconstruct_teams(inst, vector)
     return Verdict(SAT, witness, stats)
 
+
+# States one pivot_solve call may enter before it raises BudgetError.
+# Capped searches on a 2-vCPU x86 host took 1.4-2.1 us and 100-135 bytes
+# (the failed-state memo) per state, so a call stays within about 1 s and
+# 70 MB. The cap is per call: branch_solve may make sum over i <= s of
+# (d*t)^i of them.
+PIVOT_MAX_NODES = 500_000
+
+
+def pivot_solve(inst: Instance) -> Verdict:
+    """Team search that branches on the lowest uncovered resource.
+
+    Teams are filled one at a time. The first unfinished team takes its
+    lowest missing resource r, and the search branches over the unused
+    users who reach r, in ascending index. Every step adds one member,
+    so a path is at most d*t picks long and the tree has at most n^(d*t)
+    leaves, however large |P| is. The search is complete: a solution
+    team always holds an unused user who reaches its lowest missing
+    resource and is not yet picked, so some branch stays inside it.
+
+    A state is (team index, its missing resources, its size, the mask
+    of users taken); what lies below a state depends on nothing else,
+    so states that fail are memoized. The stack holds one frame per
+    pick, with no Python recursion, and every state entered counts
+    against PIVOT_MAX_NODES. Teams come back in the order they were
+    filled.
+    """
+    require_normalized(inst)
+    stats = SolveStats(algorithm="pivot")
+    n, d, t = inst.n, inst.d, int(inst.t)
+    full = inst.target
+    if not full:
+        return _trivial_sat(stats, d)
+    access = inst.access
+    reach = [
+        [u for u in range(n) if access[u] >> r & 1] for r in range(inst.num_resources)
+    ]
+    limit = PIVOT_MAX_NODES
+    failed: set[tuple[int, int, int, int]] = set()
+    frames: list[tuple[tuple[int, int, int, int], Iterator[int]]] = []
+    picks: list[int] = []  # picks[k]: the user taken at frames[k]
+    state = (0, full, 0, 0)
+    while True:
+        stats.nodes += 1
+        if stats.nodes > limit:
+            raise BudgetError(f"node budget: pivot search exceeds {limit} nodes")
+        if state[2] < t and state not in failed:
+            demand = state[1]
+            frames.append((state, iter(reach[(demand & -demand).bit_length() - 1])))
+        # Take the next unused candidate of the deepest open frame.
+        while frames:
+            (j, demand, size, used), options = frames[-1]
+            for u in options:
+                if not used >> u & 1:
+                    break
+            else:
+                failed.add(frames.pop()[0])
+                continue
+            break
+        else:
+            return _unsat(stats)
+        del picks[len(frames) - 1 :]
+        picks.append(u)
+        used |= 1 << u
+        rest = demand & ~access[u]
+        if rest:
+            state = (j, rest, size + 1, used)
+        elif j + 1 < d:
+            state = (j + 1, full, 0, used)
+        else:
+            break
+    teams: list[set[int]] = [set() for _ in range(d)]
+    for (frame_state, _), u in zip(frames, picks):
+        teams[frame_state[0]].add(u)
+    return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)

@@ -33,6 +33,7 @@ from rescheck import (
     solve_rcp_bruteforce,
     verify_witness,
 )
+from rescheck.blockers import outside_domain
 
 
 class TestBranch:
@@ -239,6 +240,24 @@ class TestRouting:
         v = solve(x, limits=Limits(dp_bits=1, max_classes=1))
         assert v.stats.algorithm == "oracle"
 
+    def test_auto_past_the_oracle_guard_searches_with_the_oracle_inside(self):
+        # three users but two representatives per class (d = 2): the
+        # oracle refuses the instance, not the searches' inner calls
+        x = norm([[0], [0], [0]], p=1, s=1, d=2, t=1)
+        v = solve(x, limits=Limits(dp_bits=1, max_classes=1, oracle_users=2))
+        assert v.stats.algorithm == "branch+oracle-s0"
+        assert v.sat
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_auto_past_the_oracle_guard_takes_the_pivot_rung(self, s):
+        # two classes with one representative each exceed oracle_users=1
+        x = norm([[0], [1], [0, 1]], p=2, s=s, d=2, t=2)
+        v = solve(x, limits=Limits(dp_bits=1, max_classes=1, oracle_users=1))
+        assert v.stats.algorithm == "branch+pivot"
+        assert v.sat == (s == 0)  # s = 1: removing user 2 leaves one team
+        assert v.stats.nodes == 1 + s  # s = 0 is one inner call
+        assert verify_witness(x, v)
+
     def test_explicit_strategy_dispatch(self):
         x = norm([[0]], p=1, s=0, d=1, t=1)
         assert solve(x, "dp").stats.algorithm == "dp"
@@ -301,6 +320,21 @@ def test_minimal_blockers_nearly_empty_touched_classes(x):
         touched = [u for u in members if u in blocker.users]
         if touched:
             assert len(members) - len(touched) < y.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=7, max_p=5, max_d=3))
+def test_pivot_rung_agrees_with_the_oracle(x):
+    # no dp bits, one class and no oracle users: every instance with a
+    # user who reaches something, past the fast path, takes branch+pivot
+    y = normalize(x)
+    v = solve(y, limits=Limits(dp_bits=0, max_classes=1, oracle_users=0))
+    assert v.sat == solve_rcp_bruteforce(y, user_limit=None).sat
+    if v.witness is not None:
+        assert verify_witness(y, v)
+    if outside_domain(y, "fastpath") is not None and any(y.access):
+        assert v.stats.algorithm == "branch+pivot"
+        assert v.stats.nodes <= sum((y.d * y.t) ** i for i in range(y.s + 1))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import inst
-from rescheck import INF, Instance, emit_instance, normalize, solve
+from rescheck import INF, Instance, emit_instance, normalize, solve, teams
 from rescheck.blockers import STRATEGIES
 from rescheck.cli import (
     EXIT_BUDGET,
@@ -75,8 +75,8 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
     def test_solver_crash_exits_four_not_unsat(self, tmp_path, capsys, monkeypatch):
-        # ilp_feasible recurses once per configuration; its RecursionError
-        # must not surface as exit 1, which means UNSAT
+        # a solver bug that raises, here a RecursionError, must not
+        # surface as exit 1, which means UNSAT
         def crash(x, limits):
             raise RecursionError("maximum recursion depth exceeded")
 
@@ -100,6 +100,48 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", path]) == EXIT_BUDGET
         assert "error: configuration budget" in capsys.readouterr().err
+
+    def test_many_configurations_answer_without_recursion(self, tmp_path, capsys):
+        # d*p = 28 routes s = 0 to ilp: 22,820 configurations, one
+        # search level each
+        path = str(tmp_path / "x.json")
+        assert main([
+            "generate", "random", "--users", "200", "--resources", "7",
+            "--density", "0.35", "--s", "0", "--d", "4", "--t", "3",
+            "--seed", "1", "--out", path,
+        ]) == EXIT_SAT
+        capsys.readouterr()
+        assert main(["solve", path, "--stats"]) == EXIT_SAT
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["answer"], doc["algorithm"]) == ("SAT", "ilp")
+        assert doc["stats"]["nodes"] == 138_812
+        assert doc["stats"]["extras"]["configurations"] == 22_820
+
+    @pytest.fixture
+    def over_guard(self, tmp_path, capsys):
+        # n = 22 users over p = 33 resources, s = 2, d = 1, t = 3: neither
+        # dp nor class counting fits, and 22 representatives exceed the
+        # oracle's 20 users
+        path = str(tmp_path / "hs.json")
+        assert main([
+            "generate", "hitting-set", "--elements", "12", "--num-sets", "10",
+            "--set-size", "2", "--k", "2", "--seed", "1", "--out", path,
+        ]) == EXIT_SAT
+        assert "expected SAT" in capsys.readouterr().err
+        return path
+
+    def test_past_the_oracle_guard_the_pivot_rung_answers(self, over_guard, capsys):
+        assert main(["solve", over_guard, "--stats"]) == EXIT_SAT
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["answer"], doc["algorithm"]) == ("SAT", "branch+pivot")
+        assert doc["stats"]["nodes"] == 1 + 3 + 9  # sum over i <= s of (d*t)^i
+
+    def test_node_budget_exceeded_exits_three(self, over_guard, capsys, monkeypatch):
+        monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 1)
+        assert main(["solve", over_guard]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: node budget" in captured.err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == EXIT_ERROR

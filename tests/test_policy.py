@@ -30,7 +30,6 @@ class TestInstance:
         x = inst([[0, 1], [1]], p=2, d=2, t=2)
         assert x.n == 2
         assert x.p == 2
-        assert x.target_resources() == [0, 1]
         assert x.user_labels == ("u0", "u1")
         assert x.resource_labels == ("r0", "r1")
 

@@ -22,8 +22,10 @@ from rescheck import (
     ilp_feasible,
     ilp_solve,
     normalize,
+    pivot_solve,
     reconstruct_teams,
     solve_s0_bruteforce,
+    teams,
     verify_witness,
 )
 from rescheck.policy import restrict
@@ -207,7 +209,54 @@ class TestConfigurations:
             assert union == y.target
 
 
+def _recursive_ilp_feasible(configs, capacities, d):
+    # The one-call-per-configuration search that ilp_feasible replaced,
+    # kept as the reference for its visiting order and node count.
+    remaining = dict(capacities)
+    counts = [0] * len(configs)
+    nodes = 0
+
+    def dfs(idx, need):
+        nonlocal nodes
+        nodes += 1
+        if need == 0:
+            return True
+        if idx == len(configs):
+            return False
+        parts = configs[idx]
+        top = min(need, min((remaining.get(m, 0) for m in parts), default=0))
+        for x in range(top + 1):
+            counts[idx] = x
+            for m in parts:
+                remaining[m] -= x
+            if dfs(idx + 1, need - x):
+                return True
+            for m in parts:
+                remaining[m] += x
+            counts[idx] = 0
+        return False
+
+    if dfs(0, d):
+        return {configs[i]: counts[i] for i in range(len(configs)) if counts[i]}, nodes
+    return None, nodes
+
+
+@st.composite
+def feasibility_questions(draw):
+    """Configurations over a few classes, class capacities and d."""
+    classes = draw(st.lists(st.integers(1, 15), min_size=1, max_size=5, unique=True))
+    part_lists = st.lists(st.sampled_from(classes), min_size=1, max_size=3, unique=True)
+    configs = [tuple(sorted(parts)) for parts in draw(st.lists(part_lists, max_size=8))]
+    capacities = {m: draw(st.integers(0, 4)) for m in classes}
+    return configs, capacities, draw(st.integers(0, 6))
+
+
 class TestIlpFeasible:
+    @settings(max_examples=300, deadline=None)
+    @given(feasibility_questions())
+    def test_same_vector_and_nodes_as_the_recursive_search(self, question):
+        assert ilp_feasible(*question) == _recursive_ilp_feasible(*question)
+
     def test_multiplicity_two_on_one_shape(self):
         # multiplicities 0 and 1 each reach the end of the list short
         assert ilp_feasible([(0b1,)], {0b1: 2}, d=2) == ({(0b1,): 2}, 4)
@@ -259,3 +308,56 @@ class TestIlpSolve:
                 masks = [y.access[u] & y.target for u in team]
                 assert len(set(masks)) == len(masks)
 
+
+
+class TestPivot:
+    def test_branches_on_the_lowest_missing_resource(self):
+        # r0 is reached by users 1 and 2; user 1 leaves r1 to user 0
+        x = norm([[1], [0], [0, 1]], p=2, d=2, t=2)
+        v = pivot_solve(x)
+        assert v.witness.teams == (frozenset({0, 1}), frozenset({2}))
+        assert verify_witness(x, v)
+
+    def test_size_cap_is_tracked(self):
+        x = norm([[0], [1]], p=2, d=1, t=1)
+        assert not pivot_solve(x).sat
+
+    def test_zero_resources_is_trivially_sat(self):
+        x = Instance(access=(), num_resources=0, target=0, d=2, t=1)
+        assert pivot_solve(x).witness.teams == (frozenset(), frozenset())
+
+    def test_a_resource_nobody_reaches_ends_every_branch(self):
+        # five users each reach r0 and r1, none reaches r2: the root's
+        # five children each have r2 left and no user to branch on
+        x = norm([[0, 1]] * 5 + [[3]], p=4, d=1, t=4)
+        v = pivot_solve(x)
+        assert not v.sat
+        assert v.stats.nodes == 1 + 5
+
+    def test_failed_states_are_searched_once(self):
+        # only user 0 reaches r1, so two teams cannot both cover it. The
+        # first team {0, 1} is picked as 0 then 1 and again as 1 then 0;
+        # the second time, the failed state (team 1, nothing covered,
+        # users 0 and 1 taken) is entered but not searched again, which
+        # saves its one child: 14 states instead of 15
+        x = norm([[0, 1], [0, 2], [2], [0]], p=3, d=2, t=3)
+        v = pivot_solve(x)
+        assert not v.sat
+        assert v.stats.nodes == 14
+
+    def test_node_budget_is_enforced(self, monkeypatch):
+        x = norm([[0], [1], [0, 1]], p=2, d=1, t=2)
+        monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 3)
+        assert pivot_solve(x).sat
+        monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 1)
+        with pytest.raises(BudgetError, match="node budget"):
+            pivot_solve(x)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 1500 one-user teams: a path of 1500 picks, one state per team
+        # start; the last pick completes the teams and enters no state
+        x = norm([[0]] * 1500, p=1, d=1500, t=1)
+        v = pivot_solve(x)
+        assert v.sat
+        assert v.stats.nodes == 1500
+        assert verify_witness(x, v)
