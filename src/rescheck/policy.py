@@ -263,7 +263,9 @@ def class_partition(inst: Instance) -> dict[int, tuple[int, ...]]:
     return {mask: tuple(groups[mask]) for mask in sorted(groups)}
 
 
-def verify_witness(inst: Instance, verdict: Verdict) -> bool:
+def verify_witness(
+    inst: Instance, verdict: Verdict, *, s0_memo: dict[int, Verdict] | None = None
+) -> bool:
     """Check a verdict's witness against the instance, never trusting
     the solver that produced it.
 
@@ -272,6 +274,12 @@ def verify_witness(inst: Instance, verdict: Verdict) -> bool:
     must fit the removal budget and its removal must leave the s=0
     query unsatisfiable, which is established with the brute-force
     oracle.
+
+    s0_memo is solve_rcp_bruteforce's memo of brute-force s=0 verdicts
+    for this instance's users, keyed by the bitmask of surviving users.
+    A blocker whose survivors it holds is decided by that verdict, and
+    a miss is solved and stored in it. Only solve_s0_bruteforce writes
+    entries, so the check stays independent of the witness's solver.
     """
     w = verdict.witness
     if w is None:
@@ -296,9 +304,8 @@ def verify_witness(inst: Instance, verdict: Verdict) -> bool:
             return False
         if len(w.users) > inst.s:
             return False
-        from .oracle import solve_s0_bruteforce
+        from .oracle import _survivors_verdict
 
-        survivors = [u for u in range(inst.n) if u not in w.users]
-        sub = restrict(inst, survivors)
-        return not solve_s0_bruteforce(sub, user_limit=None).sat
+        memo = {} if s0_memo is None else s0_memo
+        return not _survivors_verdict(inst, w.users, memo).sat
     return False

@@ -12,7 +12,10 @@ otherwise a spare user could be kept instead).
 
 One oracle pass per (relation, d, t) serves all removal budgets: the
 oracle's blocker has minimum cardinality, so the instance at budget s
-is UNSAT exactly when that cardinality is at most s.
+is UNSAT exactly when that cardinality is at most s. The same pass also
+answers every non-oracle blocker check, through its memo of s=0
+verdicts by survivor set; the oracle's own blocker is checked without
+that memo, independently of the pass that found it.
 """
 
 from __future__ import annotations
@@ -103,11 +106,17 @@ class _Runner:
     def flag(self, **kwargs) -> None:
         self.report.disagreements.append(Disagreement(**kwargs))
 
-    def check_team_witness(self, inst: Instance, verdict: Verdict, name: str) -> None:
+    def check_witness(
+        self,
+        inst: Instance,
+        verdict: Verdict,
+        name: str,
+        s0_memo: dict[int, Verdict] | None = None,
+    ) -> None:
         if verdict.witness is None:
             return
         self.report.witnesses_checked += 1
-        if not verify_witness(inst, verdict):
+        if not verify_witness(inst, verdict, s0_memo=s0_memo):
             got = "teams" if isinstance(verdict.witness, TeamSet) else "blocker"
             self.flag(
                 kind="witness",
@@ -136,7 +145,7 @@ class _Runner:
                 instance=inst,
             )
 
-    def run_cell(self, inst: Instance, expected: str) -> None:
+    def run_cell(self, inst: Instance, expected: str, memo: dict[int, Verdict]) -> None:
         self.report.cells += 1
         for name in STRATEGIES:
             if name == "oracle" or outside_domain(inst, name) is not None:
@@ -155,7 +164,7 @@ class _Runner:
                     got=verdict.answer,
                     instance=inst,
                 )
-            self.check_team_witness(inst, verdict, name)
+            self.check_witness(inst, verdict, name, memo)
             self.check_bounds(inst, verdict, name)
             if self.stop():
                 return
@@ -192,14 +201,15 @@ class _Runner:
         for s in range(base.s + 1):
             inst = replace(base, s=s)
             expected = UNSAT if blocker_size <= s else SAT
-            # The oracle's own witnesses go through the same check.
+            # The oracle's own witnesses go through the same check, without
+            # the memo that produced them.
             if expected == UNSAT and s == blocker_size:
-                self.check_team_witness(inst, Verdict(UNSAT, blocker, overall.stats), "oracle")
+                self.check_witness(inst, Verdict(UNSAT, blocker, overall.stats), "oracle")
             if expected == SAT and s == 0:
-                self.check_team_witness(inst, memo[(1 << base.n) - 1], "oracle")
+                self.check_witness(inst, memo[(1 << base.n) - 1], "oracle")
             if self.stop():
                 return
-            self.run_cell(inst, expected)
+            self.run_cell(inst, expected, memo)
             if self.stop():
                 return
 

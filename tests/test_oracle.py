@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import instances, norm
 from rescheck import (
@@ -160,3 +161,17 @@ def test_witnesses_always_verify(x):
     v = solve_rcp_bruteforce(y)
     if v.witness is not None:
         assert verify_witness(y, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(max_n=8, max_p=3, max_s=3, max_d=2), st.data())
+def test_blocker_check_agrees_with_and_without_the_oracle_memo(x, data):
+    y = normalize(x)
+    size = data.draw(st.integers(0, min(y.s, y.n)))
+    users = data.draw(st.permutations(range(y.n)))[:size]
+    v = Verdict("UNSAT", BlockerSet(frozenset(users)), SolveStats("x"))
+    prefilled: dict[int, Verdict] = {}
+    solve_rcp_bruteforce(y, s0_memo=prefilled)
+    expected = verify_witness(y, v)
+    assert verify_witness(y, v, s0_memo=prefilled) == expected
+    assert verify_witness(y, v, s0_memo={}) == expected

@@ -1,0 +1,49 @@
+"""Cross-validation sweep: report counts and the witness checks."""
+
+from __future__ import annotations
+
+import rescheck.sweep
+from rescheck import UNSAT, BlockerSet, Verdict
+from rescheck.sweep import SweepConfig, run_sweep
+
+SMALL = SweepConfig(max_n=3, max_p=2, seeds=40)
+
+
+def test_small_sweep_counts_are_pinned():
+    # A check that is skipped or a cell that is dropped changes a count.
+    report = run_sweep(SMALL)
+    assert report.ok
+    assert report.relations == 138
+    assert report.families == 404
+    assert report.cells == 1212
+    assert report.solver_runs == 3562
+    assert report.runs_by_algorithm == {
+        "dp": 404,
+        "ilp": 404,
+        "branch": 1212,
+        "reduced": 1212,
+        "fastpath": 330,
+    }
+    assert report.witnesses_checked == 3959
+    assert report.blockers_checked == 391
+
+
+def test_wrong_non_oracle_blocker_is_flagged(monkeypatch):
+    # The empty blocker claims the full user set has no team set; the
+    # family's oracle memo holds that survivor set, as SAT wherever a
+    # removal is needed, and the check must read it that way.
+    real = rescheck.sweep.STRATEGIES["reduced"]
+
+    def empty_blocker(inst, limits):
+        verdict = real(inst, limits)
+        if verdict.answer == UNSAT:
+            return Verdict(UNSAT, BlockerSet(frozenset()), verdict.stats)
+        return verdict
+
+    strategies = dict(rescheck.sweep.STRATEGIES, reduced=empty_blocker)
+    monkeypatch.setattr(rescheck.sweep, "STRATEGIES", strategies)
+    report = run_sweep(SMALL)
+    assert [(d.kind, d.algorithm, d.got) for d in report.disagreements] == [
+        ("witness", "reduced", "invalid blocker")
+    ]
+    assert report.disagreements[0].instance.s > 0
