@@ -15,17 +15,14 @@ the single-team unbounded-size case by counting coverage.
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
 others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
-class counting while 2^|P| fits max_classes, else the oracle) that
-"auto" and the searches' choice of inner solver both read. On the
-oracle rung, auto runs the oracle itself only when all n users fit its
-guard, and branch_solve otherwise, even at s=0, where it makes one
-inner call; that search's inner solver is the guarded oracle while its
-representatives fit oracle_users, else the pivot search.
+class counting while 2^|P| fits max_classes, else the pivot search) that
+"auto" and the searches' choice of inner solver both read. On the pivot
+rung, auto runs branch_solve at every s, whose search size does not
+depend on |P|; at s=0 that search makes one inner call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable
 
 from . import oracle, teams
@@ -67,27 +64,18 @@ def outside_domain(inst: Instance, name: str) -> str | None:
 
 
 def _rung(inst: Instance, limits: Limits) -> str:
-    # The budget ladder: "dp", "ilp" (class counting) or "oracle".
+    # The budget ladder: "dp", "ilp" (class counting) or "pivot".
     if inst.d * inst.num_resources <= limits.dp_bits:
         return "dp"
     if (1 << inst.num_resources) <= limits.max_classes:
         return "ilp"
-    return "oracle"
+    return "pivot"
 
 
-def _pick_s0(inst: Instance, limits: Limits, listing: Listing) -> tuple[str, S0Solver]:
+def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
     rung = _rung(inst, limits)
-    if rung == "oracle":
-        # Inner calls see at most min(|class|, d) users per occupied
-        # class, the root call exactly that many. Past oracle_users the
-        # root call would raise on the oracle's guard; the pivot search
-        # has none.
-        listed = Counter(mask for _, mask in listing[0])
-        if sum(min(count, inst.d) for count in listed.values()) > limits.oracle_users:
-            return "pivot", teams.pivot_solve
-        return "oracle-s0", lambda sub: oracle.solve_s0_bruteforce(
-            sub, user_limit=limits.oracle_users
-        )
+    if rung == "pivot":
+        return rung, teams.pivot_solve
     # dp_solve and ilp_solve ignore s, so they serve the survivors as is.
     solver = STRATEGIES[rung]
     return rung, lambda sub: solver(sub, limits)
@@ -171,7 +159,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """
     require_normalized(inst)
     listing = _candidates(inst)
-    inner_name, inner = _pick_s0(inst, limits, listing)
+    inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
@@ -228,7 +216,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"exceeds {limits.max_classes}"
         )
     listing = _candidates(inst)
-    inner_name, inner = _pick_s0(inst, limits, listing)
+    inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
     members: dict[int, list[int]] = {}
@@ -334,8 +322,8 @@ def _auto(inst: Instance, limits: Limits) -> str:
     if outside_domain(inst, "fastpath") is None:
         return "fastpath"
     rung = _rung(inst, limits)
-    if rung == "oracle":
-        return "oracle" if inst.n <= limits.oracle_users else "branch"
+    if rung == "pivot":
+        return "branch"
     if inst.s == 0:
         return rung
     return "branch" if rung == "dp" else "reduced"
@@ -349,11 +337,10 @@ def solve(
     auto prefers the coverage fast path (d=1, unbounded t), then walks
     the budget ladder: with s=0 its rungs are dp and ilp, with s>0 the
     branching search (dp inner solver) and the class-reduced search (ilp
-    inner solver); past them it takes the guarded oracle when n fits
-    oracle_users and the branching search otherwise, whose inner solver
-    is the oracle or the pivot search. The verdict's
-    stats name the route taken. A named strategy outside the instance's
-    domain (see outside_domain) raises PreconditionError.
+    inner solver); past them it takes the branching search over the
+    pivot search at every s. The verdict's stats name the route taken. A
+    named strategy outside the instance's domain (see outside_domain)
+    raises PreconditionError.
     """
     require_normalized(inst)
     if strategy == "auto":

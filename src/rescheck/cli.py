@@ -331,8 +331,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InstanceFormatError, PolicyError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-    except RuntimeError as err:
-        # RecursionError included: exit 1 would read as UNSAT.
+    except (
+        RuntimeError, LookupError, TypeError, AttributeError, AssertionError, ArithmeticError
+    ) as err:
+        # A solver bug, RecursionError included: exit 1 would read as UNSAT.
         print(f"error: internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

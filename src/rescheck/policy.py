@@ -102,10 +102,6 @@ class Instance:
     def n(self) -> int:
         return len(self.access)
 
-    @property
-    def p(self) -> int:
-        return self.target.bit_count()
-
 
 @dataclass(frozen=True)
 class TeamSet:

@@ -23,6 +23,7 @@ from rescheck import (
     branch_solve,
     class_partition,
     dp_solve,
+    emit_verdict,
     fastpath_d1_tinf,
     find_minimal_blocker,
     ilp_solve,
@@ -71,11 +72,11 @@ class TestBranch:
         assert v.stats.nodes <= cap
 
     def test_oracle_inner_solver(self):
-        # neither dp nor class counting fits, so the ladder's last rung
-        # answers the survivors
+        # neither dp nor class counting fits, so the ladder's last rung,
+        # the pivot search, answers the survivors
         x = norm([[0]], p=1, s=1, d=1, t=1)
         v = branch_solve(x, limits=Limits(dp_bits=0, max_classes=1))
-        assert v.stats.algorithm == "branch+oracle-s0"
+        assert v.stats.algorithm == "branch+pivot"
         assert not v.sat
         assert v.witness == BlockerSet(frozenset({0}))
 
@@ -235,24 +236,16 @@ class TestRouting:
         v = solve(x, limits=Limits(dp_bits=1))
         assert v.stats.algorithm.startswith("reduced+")
 
-    def test_auto_last_resort_is_the_oracle(self):
+    def test_auto_last_resort_is_branch_over_pivot(self):
         x = norm([[0], [0]], p=1, s=1, d=2, t=1)
         v = solve(x, limits=Limits(dp_bits=1, max_classes=1))
-        assert v.stats.algorithm == "oracle"
-
-    def test_auto_past_the_oracle_guard_searches_with_the_oracle_inside(self):
-        # three users but two representatives per class (d = 2): the
-        # oracle refuses the instance, not the searches' inner calls
-        x = norm([[0], [0], [0]], p=1, s=1, d=2, t=1)
-        v = solve(x, limits=Limits(dp_bits=1, max_classes=1, oracle_users=2))
-        assert v.stats.algorithm == "branch+oracle-s0"
-        assert v.sat
+        assert v.stats.algorithm == "branch+pivot"
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_auto_past_the_oracle_guard_takes_the_pivot_rung(self, s):
-        # two classes with one representative each exceed oracle_users=1
+        # neither dp nor class counting fits, at every s
         x = norm([[0], [1], [0, 1]], p=2, s=s, d=2, t=2)
-        v = solve(x, limits=Limits(dp_bits=1, max_classes=1, oracle_users=1))
+        v = solve(x, limits=Limits(dp_bits=1, max_classes=1))
         assert v.stats.algorithm == "branch+pivot"
         assert v.sat == (s == 0)  # s = 1: removing user 2 leaves one team
         assert v.stats.nodes == 1 + s  # s = 0 is one inner call
@@ -325,10 +318,13 @@ def test_minimal_blockers_nearly_empty_touched_classes(x):
 @settings(max_examples=200, deadline=None)
 @given(instances(max_n=7, max_p=5, max_d=3))
 def test_pivot_rung_agrees_with_the_oracle(x):
-    # no dp bits, one class and no oracle users: every instance with a
-    # user who reaches something, past the fast path, takes branch+pivot
+    # no dp bits and one class: every instance with a user who reaches
+    # something, past the fast path, takes branch+pivot, and the route
+    # does not depend on how many users the oracle would take
     y = normalize(x)
-    v = solve(y, limits=Limits(dp_bits=0, max_classes=1, oracle_users=0))
+    v = solve(y, limits=Limits(dp_bits=0, max_classes=1))
+    no_oracle = solve(y, limits=Limits(dp_bits=0, max_classes=1, oracle_users=0))
+    assert emit_verdict(no_oracle, y) == emit_verdict(v, y)
     assert v.sat == solve_rcp_bruteforce(y, user_limit=None).sat
     if v.witness is not None:
         assert verify_witness(y, v)

@@ -74,11 +74,12 @@ class TestSolve:
         assert main(["solve", path, "--algorithm", "dp", "--dp-bits", "1"]) == EXIT_BUDGET
         assert "error:" in capsys.readouterr().err
 
-    def test_solver_crash_exits_four_not_unsat(self, tmp_path, capsys, monkeypatch):
-        # a solver bug that raises, here a RecursionError, must not
-        # surface as exit 1, which means UNSAT
+    @pytest.mark.parametrize("error", [RecursionError, KeyError, TypeError, AssertionError])
+    def test_solver_crash_exits_four_not_unsat(self, error, tmp_path, capsys, monkeypatch):
+        # a solver bug that raises must not surface as exit 1, which
+        # means UNSAT
         def crash(x, limits):
-            raise RecursionError("maximum recursion depth exceeded")
+            raise error("solver bug")
 
         monkeypatch.setitem(STRATEGIES, "ilp", crash)
         x = inst([[0], [1]], p=2, s=0, d=1, t=2)
@@ -86,7 +87,8 @@ class TestSolve:
         assert main(["solve", path, "--algorithm", "ilp"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: internal error: maximum recursion depth" in captured.err
+        assert "error: internal error:" in captured.err
+        assert "solver bug" in captured.err
 
     def test_many_classes_exit_on_the_budget_not_a_crash(self, tmp_path, capsys):
         # 1208 occupied classes: reduced+ilp must not recurse once per
@@ -142,6 +144,29 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: node budget" in captured.err
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_few_users_over_many_resources_take_the_pivot_rung(self, s, tmp_path, capsys):
+        # 16 users over 14 resources: 2^14 classes exceed the class
+        # budget, so branch+pivot answers although the oracle would take
+        # every user
+        path = str(tmp_path / "x.json")
+        assert main([
+            "generate", "random", "--users", "16", "--resources", "14",
+            "--density", "0.3", "--s", str(s), "--d", "2", "--t", "4",
+            "--seed", "1", "--out", path,
+        ]) == EXIT_SAT
+        capsys.readouterr()
+        assert main(["solve", path, "--witness"]) == (EXIT_UNSAT if s else EXIT_SAT)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["algorithm"] == "branch+pivot"
+        if s:
+            assert doc["witness"] == {"blocker": ["u0"]}
+        verdict = tmp_path / "v.json"
+        verdict.write_text(out, encoding="utf-8")
+        assert main(["verify", path, "--verdict", str(verdict)]) == EXIT_SAT
+        assert "witness ok" in capsys.readouterr().out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == EXIT_ERROR
