@@ -5,12 +5,14 @@ inner s=0 solver through one step, _solve_survivors. Whether that
 question is SAT depends only on how many survivors each neighborhood
 class keeps, capped at d, so the inner solver sees only the first
 min(|class|, d) survivors of every occupied class and its teams are
-mapped back to the caller's numbering. The inner solver is always the
-one the budget ladder picks. branch_solve picks removals from the team
-sets it finds; reduced_solve enumerates how many representatives to
-delete per class, one recursion level per deletion, so its depth stays
-within s + 1 however many classes there are. fastpath_d1_tinf answers
-the single-team unbounded-size case by counting coverage.
+mapped back to the caller's numbering. Both searches read the classes
+from one table, _candidates, cut from class_partition. The inner solver
+is always the one the budget ladder picks. branch_solve picks removals
+from the team sets it finds; reduced_solve enumerates how many
+representatives to delete per class, one recursion level per deletion,
+so its depth stays within s + 1 however many classes there are.
+fastpath_d1_tinf answers the single-team unbounded-size case by
+counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -38,23 +40,22 @@ from .policy import (
     SolveStats,
     TeamSet,
     Verdict,
+    class_partition,
     require_normalized,
     restrict,
 )
 
 S0Solver = Callable[[Instance], Verdict]
-# Users that may survive as a class representative, each with its class
-# mask, in ascending index; and the occupied classes.
-Listing = tuple[list[tuple[int, int]], tuple[int, ...]]
 
 
 def outside_domain(inst: Instance, name: str) -> str | None:
     """Why strategy name does not answer inst exactly, None when it does.
 
-    oracle, branch and reduced answer every instance. dp and ilp look
-    for teams only, so they answer s=0 alone. fastpath counts coverage,
-    which decides the query only for a single team of unbounded size:
-    d=1 and, after normalization, t >= |P|.
+    A strategy inside its domain may still raise BudgetError past its
+    Limits: the oracle past oracle_users users, reduced past max_classes
+    classes. dp and ilp look for teams only, so they answer s=0 alone.
+    fastpath counts coverage, which decides the query only for a single
+    team of unbounded size: d=1 and, after normalization, t >= |P|.
     """
     if name in ("dp", "ilp") and inst.s:
         return f"algorithm {name!r} answers only s=0 instances; this one has s={inst.s}"
@@ -81,23 +82,18 @@ def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
     return rung, lambda sub: solver(sub, limits)
 
 
-def _candidates(inst: Instance) -> Listing:
-    # At most s removals, so the first d survivors of a class are among
-    # its first d + s members; class 0 users appear in no useful team.
-    listed: dict[int, int] = {}
-    candidates: list[tuple[int, int]] = []
-    for u, mask in enumerate(inst.access):
-        count = listed.get(mask, 0)
-        if mask and count < inst.d + inst.s:
-            listed[mask] = count + 1
-            candidates.append((u, mask))
-    return candidates, tuple(listed)
+def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
+    # The users that may survive as representatives, by class in mask
+    # order. At most s removals, so the first d survivors of a class are
+    # among its first d + s members; class 0 users appear in no useful team.
+    keep = inst.d + inst.s
+    return {mask: users[:keep] for mask, users in class_partition(inst).items() if mask}
 
 
 def _solve_survivors(
     inst: Instance,
     inner: S0Solver,
-    listing: Listing,
+    classes: dict[int, tuple[int, ...]],
     removed_mask: int,
     answers: dict[tuple[int, ...], bool] | None = None,
     need_teams: bool = True,
@@ -106,23 +102,28 @@ def _solve_survivors(
 
     The inner solver gets the first min(|class|, d) survivors of every
     occupied class, in ascending index, drawn from the _candidates
-    listing. The dp and ilp inner solvers never pick a user outside that
+    classes. The dp and ilp inner solvers never pick a user outside that
     set, so their teams are the ones they would find on all survivors.
     Returns the answer and the inner solver's teams in the caller's
     numbering, None when it gave none. answers, when given, maps capped
-    per-class survivor counts to answers already found; a vector found
-    there is answered without an inner call, and without teams, unless
-    need_teams.
+    per-class survivor counts, in mask order, to answers already found;
+    a vector found there is answered without an inner call, and without
+    teams, unless need_teams.
     """
-    candidates, classes = listing
     d = inst.d
-    taken = dict.fromkeys(classes, 0)
     kept: list[int] = []
-    for u, mask in candidates:
-        if taken[mask] < d and not removed_mask >> u & 1:
-            taken[mask] += 1
-            kept.append(u)
-    counts = tuple(taken.values())
+    taken: list[int] = []
+    for users in classes.values():
+        count = 0
+        for u in users:
+            if not removed_mask >> u & 1:
+                kept.append(u)
+                count += 1
+                if count == d:
+                    break
+        taken.append(count)
+    kept.sort()
+    counts = tuple(taken)
     if answers is not None and not need_teams and counts in answers:
         return answers[counts], None
     sub = inner(restrict(inst, kept))
@@ -158,7 +159,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     search.
     """
     require_normalized(inst)
-    listing = _candidates(inst)
+    classes = _candidates(inst)
     inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
     root_teams: list[TeamSet | None] = [None]
@@ -171,7 +172,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         if removed_mask in outcomes:
             return outcomes[removed_mask]
         sat, found = _solve_survivors(
-            inst, inner, listing, removed_mask, answers, need_teams=budget > 0
+            inst, inner, classes, removed_mask, answers, need_teams=budget > 0
         )
         if not removed_mask:
             root_teams[0] = found
@@ -215,27 +216,21 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    listing = _candidates(inst)
+    classes = _candidates(inst)
     inner_name, inner = _pick_s0(inst, limits)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
-    members: dict[int, list[int]] = {}
-    for u, mask in listing[0]:
-        members.setdefault(mask, []).append(u)
 
     # Per class that a deletion can touch within the budget, in class
     # bitmask order: its representatives, the mask of its spare users
-    # and their number. The listing holds a class's first d + s members;
+    # and their number. _candidates keeps a class's first d + s members;
     # a class that fills them costs at least s + 1 to touch.
-    classes: list[tuple[list[int], int, int]] = []
-    for mask in sorted(members):
-        listed = members[mask]
-        if len(listed) < d + s:
-            spare_mask = 0
-            for u in listed[d:]:
-                spare_mask |= 1 << u
-            classes.append((listed[:d], spare_mask, max(len(listed) - d, 0)))
-    stats.extras["reduced_users"] = sum(min(len(m), d) for m in members.values())
+    touchable: list[tuple[tuple[int, ...], int, int]] = []
+    for users in classes.values():
+        if len(users) < d + s:
+            spares = users[d:]
+            touchable.append((users[:d], sum(1 << u for u in spares), len(spares)))
+    stats.extras["reduced_users"] = sum(min(len(users), d) for users in classes.values())
     first_teams: list[TeamSet | None] = [None]
 
     def search(start: int, cost: int, removed_mask: int) -> Verdict | None:
@@ -244,13 +239,13 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
         # beyond removed_mask, then those whose first further deletion
         # is in the last class, and so on back to class start.
         stats.nodes += 1
-        sat, found = _solve_survivors(inst, inner, listing, removed_mask)
+        sat, found = _solve_survivors(inst, inner, classes, removed_mask)
         if not sat:
             return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
         if not removed_mask:
             first_teams[0] = found
-        for idx in range(len(classes) - 1, start - 1, -1):
-            reps, drop, spare = classes[idx]
+        for idx in range(len(touchable) - 1, start - 1, -1):
+            reps, drop, spare = touchable[idx]
             for k in range(1, len(reps) + 1):
                 if cost + k + spare > s:
                     break  # larger k only costs more

@@ -43,7 +43,8 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
     no solutions. Dead states, keyed by the multiset of per-team
     (remaining demand, size) pairs, are memoized so identical futures
     are not re-searched. On success the teams are reported sorted by
-    smallest member index.
+    smallest member index. The search keeps one frame per user on an
+    explicit stack, so Python's recursion limit does not bound n.
     """
     require_normalized(inst)
     _check_size(inst, user_limit)
@@ -60,7 +61,11 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
     members: list[list[int]] = [[] for _ in range(d)]
     failed: set[tuple] = set()
 
-    def search(i: int, states: tuple[tuple[int, int], ...]) -> bool:
+    def visit(i: int, states: tuple[tuple[int, int], ...]) -> bool | list:
+        # The node's answer when it is known on entry, else its frame:
+        # its failed-memo key, its index, the branches left to try in
+        # reverse order, and the team that the branch being tried puts
+        # user i in (None for the branch that skips it).
         stats.nodes += 1
         pending = [demand for demand, _ in states if demand]
         if not pending:
@@ -76,6 +81,7 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
         if key in failed:
             return False
         nbr = access[i]
+        branches: list[tuple[int | None, tuple[tuple[int, int], ...]]] = [(None, states)]
         tried: set[tuple[int, int]] = set()
         for j in range(d):
             demand, size = states[j]
@@ -84,18 +90,35 @@ def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdi
             if (demand, size) in tried:
                 continue  # team in an identical state, symmetric branch
             tried.add((demand, size))
-            child = states[:j] + ((demand & ~nbr, size + 1),) + states[j + 1 :]
-            members[j].append(i)
-            if search(i + 1, child):
-                return True
-            members[j].pop()
-        if search(i + 1, states):
-            return True
-        failed.add(key)
-        return False
+            branches.insert(1, (j, states[:j] + ((demand & ~nbr, size + 1),) + states[j + 1 :]))
+        return [key, i, branches, None]
 
-    initial = tuple((full, 0) for _ in range(d))
-    sat = search(0, initial)
+    # Depth-first on an explicit stack, one frame per user index: user i
+    # joins each team it helps, in team order, and then joins none.
+    frames: list[list] = []
+    result = visit(0, tuple((full, 0) for _ in range(d)))
+    while result is not True:
+        if result is False:
+            if not frames:
+                break
+            frame = frames[-1]
+            if frame[3] is not None:
+                members[frame[3]].pop()
+        else:
+            frame = result
+            frames.append(frame)
+        key, i, branches, _ = frame
+        if not branches:
+            failed.add(key)
+            frames.pop()
+            result = False
+            continue
+        j, child = branches.pop()
+        frame[3] = j
+        if j is not None:
+            members[j].append(i)
+        result = visit(i + 1, child)
+    sat = result is True
     if not sat:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     teams = sorted((frozenset(m) for m in members), key=lambda team: tuple(sorted(team)))

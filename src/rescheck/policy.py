@@ -265,11 +265,12 @@ def verify_witness(
     """Check a verdict's witness against the instance, never trusting
     the solver that produced it.
 
-    A TeamSet must consist of exactly d pairwise disjoint teams of at
-    most t users whose joint access covers the target. A BlockerSet
-    must fit the removal budget and its removal must leave the s=0
-    query unsatisfiable, which is established with the brute-force
-    oracle.
+    The witness must prove the verdict's answer. A TeamSet proves SAT
+    only at s=0, and must consist of exactly d pairwise disjoint teams
+    of at most t users whose joint access covers the target. A
+    BlockerSet proves UNSAT only; it must fit the removal budget and
+    its removal must leave the s=0 query unsatisfiable, which is
+    established with the brute-force oracle.
 
     s0_memo is solve_rcp_bruteforce's memo of brute-force s=0 verdicts
     for this instance's users, keyed by the bitmask of surviving users.
@@ -281,6 +282,8 @@ def verify_witness(
     if w is None:
         raise ValueError("verdict carries no witness to verify")
     if isinstance(w, TeamSet):
+        if verdict.answer != SAT or inst.s:
+            return False
         if len(w.teams) != inst.d:
             return False
         seen: set[int] = set()
@@ -296,7 +299,7 @@ def verify_witness(
                 return False
         return True
     if isinstance(w, BlockerSet):
-        if any(u < 0 or u >= inst.n for u in w.users):
+        if verdict.answer != UNSAT or any(u < 0 or u >= inst.n for u in w.users):
             return False
         if len(w.users) > inst.s:
             return False

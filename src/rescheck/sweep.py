@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from .blockers import STRATEGIES, outside_domain
 from .oracle import solve_rcp_bruteforce
@@ -50,7 +51,9 @@ class SweepConfig:
     seeds: int = 1000
     random_max_n: int = 10
     random_max_p: int = 4
-    limits: Limits = DEFAULT_LIMITS
+    # Not a field: every sweep runs its solvers under the default
+    # budgets. perfbench/run.py records it with each sweep workload run.
+    limits: ClassVar[Limits] = DEFAULT_LIMITS
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ class _Runner:
         for name in STRATEGIES:
             if name == "oracle" or outside_domain(inst, name) is not None:
                 continue
-            verdict = STRATEGIES[name](inst, self.config.limits)
+            verdict = STRATEGIES[name](inst, DEFAULT_LIMITS)
             self.report.solver_runs += 1
             self.report.runs_by_algorithm[name] = (
                 self.report.runs_by_algorithm.get(name, 0) + 1

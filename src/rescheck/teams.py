@@ -86,10 +86,8 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     cap_bits = t.bit_length()
     size_mask = (1 << cap_bits) - 1
     width = p + cap_bits
-    demand_mask = full
-    all_demands = 0
-    for j in range(d):
-        all_demands |= demand_mask << (j * width)
+    # The root state: every team misses all of P and has no member. Its
+    # set bits are the demand bits of every state.
     initial = 0
     for j in range(d):
         initial |= full << (j * width)
@@ -119,7 +117,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         nbr = access[i - 1]
         for j in range(d):
             shift = j * width
-            demand = state >> shift & demand_mask
+            demand = state >> shift & full
             if not demand & nbr:
                 continue
             size = state >> (shift + p) & size_mask
@@ -137,7 +135,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         need = [0] * p  # teams still missing each resource
         for field in sorted([state >> (j * width) & field_mask for j in range(d)]):
             canonical = canonical << width | field
-            demand = field & demand_mask
+            demand = field & full
             if not demand:
                 continue
             if field >> p >= t:
@@ -149,7 +147,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         return canonical, least
 
     def value(i: int, state: int) -> bool:
-        if state & all_demands == 0:
+        if state & initial == 0:
             return True
         if i == 0:
             return False
@@ -184,7 +182,7 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         # Replay the memo to pull out one concrete team assignment.
         teams: list[set[int]] = [set() for _ in range(d)]
         i, state = n, initial
-        while state & all_demands:
+        while state & initial:
             if value(i - 1, state):
                 i -= 1
                 continue

@@ -377,6 +377,33 @@ class TestVerify:
         assert main(["verify", path, "--verdict", str(verdict_path)]) == EXIT_UNSAT
         assert "witness invalid" in capsys.readouterr().out
 
+    def test_witness_of_the_other_answer_fails(self, tmp_path, capsys):
+        # The answer is UNSAT (remove either user); the teams are a valid
+        # s=0 team set, which proves nothing about it.
+        x = inst([[0], [0]], p=1, s=1, d=2, t=1)
+        path = write_instance(tmp_path / "x.json", x)
+        forged = {
+            "version": 1, "answer": "UNSAT", "algorithm": "branch",
+            "witness": {"teams": [["u0"], ["u1"]]},
+        }
+        verdict_path = tmp_path / "verdict.json"
+        verdict_path.write_text(json.dumps(forged), encoding="utf-8")
+        assert main(["verify", path, "--verdict", str(verdict_path)]) == EXIT_UNSAT
+        assert "witness invalid" in capsys.readouterr().out
+
+    def test_blocker_among_thousands_of_users_checks_out(self, tmp_path, capsys):
+        # Removing u2998 leaves one user for r1, which two teams need.
+        # The oracle's check searches 2999 users deep.
+        x = inst([[0]] * 2998 + [[1]] * 2, p=2, s=1, d=2, t=2)
+        path = write_instance(tmp_path / "x.json", x)
+        assert main(["solve", path, "--witness"]) == EXIT_UNSAT
+        out = capsys.readouterr().out
+        assert json.loads(out)["witness"] == {"blocker": ["u2998"]}
+        verdict_path = tmp_path / "verdict.json"
+        verdict_path.write_text(out, encoding="utf-8")
+        assert main(["verify", path, "--verdict", str(verdict_path)]) == EXIT_SAT
+        assert "witness ok" in capsys.readouterr().out
+
     def test_verdict_without_witness_is_an_error(self, resilient, tmp_path, capsys):
         main(["solve", resilient])
         verdict_path = tmp_path / "verdict.json"

@@ -11,18 +11,74 @@ from hypothesis import strategies as st
 from conftest import instances, norm
 from rescheck import (
     INF,
+    SAT,
+    UNSAT,
     BlockerSet,
     BudgetError,
     Instance,
     PreconditionError,
     SolveStats,
+    TeamSet,
     Verdict,
     find_minimal_blocker,
     normalize,
+    require_normalized,
     solve_rcp_bruteforce,
     solve_s0_bruteforce,
     verify_witness,
 )
+
+
+def recursive_s0(inst: Instance) -> Verdict:
+    """The s=0 oracle as a recursion, one level per user: the reference
+    that solve_s0_bruteforce's explicit stack must match in answer,
+    teams and node count."""
+    require_normalized(inst)
+    stats = SolveStats(algorithm="oracle-s0")
+    n, d, t = inst.n, inst.d, int(inst.t)
+    access = inst.access
+    suffix_union = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_union[i] = suffix_union[i + 1] | access[i]
+    members: list[list[int]] = [[] for _ in range(d)]
+    failed: set[tuple] = set()
+
+    def search(i, states):
+        stats.nodes += 1
+        pending = [demand for demand, _ in states if demand]
+        if not pending:
+            return True
+        if i == n or n - i < len(pending):
+            return False
+        union_needed = 0
+        for demand in pending:
+            union_needed |= demand
+        if union_needed & ~suffix_union[i]:
+            return False
+        key = (i, tuple(sorted(states)))
+        if key in failed:
+            return False
+        nbr = access[i]
+        tried = set()
+        for j in range(d):
+            demand, size = states[j]
+            if size >= t or not demand & nbr or (demand, size) in tried:
+                continue
+            tried.add((demand, size))
+            child = states[:j] + ((demand & ~nbr, size + 1),) + states[j + 1 :]
+            members[j].append(i)
+            if search(i + 1, child):
+                return True
+            members[j].pop()
+        if search(i + 1, states):
+            return True
+        failed.add(key)
+        return False
+
+    if not search(0, tuple((inst.target, 0) for _ in range(d))):
+        return Verdict(UNSAT, BlockerSet(frozenset()), stats)
+    teams = sorted((frozenset(m) for m in members), key=lambda team: tuple(sorted(team)))
+    return Verdict(SAT, TeamSet(tuple(teams)), stats)
 
 
 class TestSolveS0:
@@ -61,6 +117,15 @@ class TestSolveS0:
         # s plays no role in the s=0 question
         x = norm([[0]], p=1, s=5, d=1, t=1)
         assert solve_s0_bruteforce(x).sat
+
+
+    def test_many_users_search_without_recursion(self):
+        # 2998 users reach only r0 and one reaches r1: two teams need r1
+        # twice. One recursion level per user would pass Python's limit.
+        x = norm([[0]] * 2998 + [[1]], p=2, d=2, t=2)
+        v = solve_s0_bruteforce(x, user_limit=None)
+        assert not v.sat
+        assert v.stats.nodes == 14_987  # the recursive reference's count
 
 
 class TestSolveRcp:
@@ -175,3 +240,13 @@ def test_blocker_check_agrees_with_and_without_the_oracle_memo(x, data):
     expected = verify_witness(y, v)
     assert verify_witness(y, v, s0_memo=prefilled) == expected
     assert verify_witness(y, v, s0_memo={}) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_n=9, max_p=3, max_d=3))
+def test_s0_stack_search_matches_the_recursion(x):
+    y = normalize(x)
+    got, expected = solve_s0_bruteforce(y), recursive_s0(y)
+    assert (got.answer, got.witness, got.stats.nodes) == (
+        expected.answer, expected.witness, expected.stats.nodes
+    )

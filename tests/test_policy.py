@@ -212,6 +212,22 @@ class TestVerifyWitness:
         v = Verdict("UNSAT", BlockerSet(frozenset({0})), SolveStats("x"))
         assert not verify_witness(x, v)
 
+    # Two full-access users, d=2, t=1, s=1: removing either leaves one
+    # team, so the answer is UNSAT. Each witness below is valid on its
+    # own terms but does not prove the answer it comes with.
+    @pytest.mark.parametrize(
+        "answer, witness",
+        [
+            ("UNSAT", TeamSet((frozenset({0}), frozenset({1})))),
+            ("SAT", TeamSet((frozenset({0}), frozenset({1})))),
+            ("SAT", BlockerSet(frozenset({0}))),
+        ],
+        ids=["unsat-with-teams", "sat-with-teams-at-s1", "sat-with-blocker"],
+    )
+    def test_rejects_witness_that_does_not_prove_the_answer(self, answer, witness):
+        x = inst([[0], [0]], p=1, s=1, d=2, t=1)
+        assert not verify_witness(x, Verdict(answer, witness, SolveStats("x")))
+
     def test_missing_witness_raises(self):
         x = inst([[0]], p=1)
         with pytest.raises(ValueError):
