@@ -6,8 +6,16 @@ question is SAT depends only on how many survivors each neighborhood
 class keeps, capped at d, so the inner solver sees only the first
 min(|class|, d) survivors of every occupied class and its teams are
 mapped back to the caller's numbering. Both searches read the classes
-from one table, _candidates, cut from class_partition. The inner solver
-is always the one the budget ladder picks. branch_solve picks removals
+from one table, _candidates, cut from class_partition. Before any inner
+call, a supply screen sums the capped counts per resource: d disjoint
+covering teams need d distinct survivors who reach each resource, so a
+resource with fewer is UNSAT outright. The inner solver is always the
+one the budget ladder picks. Only the nodes that need teams (branch's
+root and its nodes with budget left, and reduced's root at s=0) get the
+rung's Verdict solver on a restricted sub-instance; the others (branch's
+other budget-0 nodes, every reduced node at s>0) get its answer core on
+bare data, the dp search without its replay or the configuration search
+over one configuration list per search. branch_solve picks removals
 from the team sets it finds; reduced_solve enumerates how many
 representatives to delete per class, one recursion level per deletion,
 so its depth stays within s + 1 however many classes there are.
@@ -46,6 +54,7 @@ from .policy import (
 )
 
 S0Solver = Callable[[Instance], Verdict]
+S0Answer = Callable[[list[int], tuple[int, ...]], bool]
 
 
 def outside_domain(inst: Instance, name: str) -> str | None:
@@ -73,13 +82,37 @@ def _rung(inst: Instance, limits: Limits) -> str:
     return "pivot"
 
 
-def _pick_s0(inst: Instance, limits: Limits) -> tuple[str, S0Solver]:
+def _pick_s0(
+    inst: Instance, limits: Limits, classes: dict[int, tuple[int, ...]]
+) -> tuple[str, S0Solver, S0Answer]:
+    # The rung's name, its Verdict solver for the nodes that need teams,
+    # and its answer core, on the kept users and the per-class counts,
+    # for the nodes that need only the answer.
     rung = _rung(inst, limits)
     if rung == "pivot":
-        return rung, teams.pivot_solve
+        return rung, teams.pivot_solve, lambda kept, _: teams.pivot_solve(
+            restrict(inst, kept)
+        ).sat
     # dp_solve and ilp_solve ignore s, so they serve the survivors as is.
-    solver = STRATEGIES[rung]
-    return rung, lambda sub: solver(sub, limits)
+    runner = STRATEGIES[rung]
+    p, d, t = inst.num_resources, inst.d, int(inst.t)
+    configs: list[tuple[int, ...]] | None = None
+
+    def solver(sub: Instance) -> Verdict:
+        return runner(sub, limits)
+
+    def answer(kept: list[int], counts: tuple[int, ...]) -> bool:
+        nonlocal configs
+        if rung == "dp":
+            return teams.dp_search([inst.access[u] for u in sorted(kept)], p, d, t)[0]
+        # The configurations depend only on the occupied classes and t,
+        # so one list, made when first needed, serves the whole search;
+        # the counts are the capacities, zero for emptied classes.
+        if configs is None:
+            configs = teams.enumerate_configurations(inst, limits=limits)
+        return teams.ilp_feasible(configs, dict(zip(classes, counts)), d)[0] is not None
+
+    return rung, solver, answer
 
 
 def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
@@ -90,27 +123,11 @@ def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
     return {mask: users[:keep] for mask, users in class_partition(inst).items() if mask}
 
 
-def _solve_survivors(
-    inst: Instance,
-    inner: S0Solver,
-    classes: dict[int, tuple[int, ...]],
-    removed_mask: int,
-    answers: dict[tuple[int, ...], bool] | None = None,
-    need_teams: bool = True,
-) -> tuple[bool, TeamSet | None]:
-    """The zero-removal query on the users left after removed_mask.
-
-    The inner solver gets the first min(|class|, d) survivors of every
-    occupied class, in ascending index, drawn from the _candidates
-    classes. The dp and ilp inner solvers never pick a user outside that
-    set, so their teams are the ones they would find on all survivors.
-    Returns the answer and the inner solver's teams in the caller's
-    numbering, None when it gave none. answers, when given, maps capped
-    per-class survivor counts, in mask order, to answers already found;
-    a vector found there is answered without an inner call, and without
-    teams, unless need_teams.
-    """
-    d = inst.d
+def _survivors(
+    classes: dict[int, tuple[int, ...]], removed_mask: int, d: int
+) -> tuple[list[int], tuple[int, ...]]:
+    # The first min(|class|, d) survivors of every class, class by class,
+    # and how many each class keeps, in mask order.
     kept: list[int] = []
     taken: list[int] = []
     for users in classes.values():
@@ -122,17 +139,73 @@ def _solve_survivors(
                 if count == d:
                     break
         taken.append(count)
-    kept.sort()
-    counts = tuple(taken)
+    return kept, tuple(taken)
+
+
+def _starved(
+    classes: dict[int, tuple[int, ...]], counts: tuple[int, ...], full: int, d: int
+) -> bool:
+    # Some resource is reached by fewer than d kept survivors, so d
+    # disjoint covering teams cannot exist. A class keeping fewer than d
+    # keeps all its survivors, so the capped counts decide this exactly.
+    # reach[k] is the set of resources reached by more than k of the
+    # classes seen so far; a class of count users with this mask lifts
+    # its resources count levels, top level first so each reads the old
+    # level below.
+    reach = [0] * d
+    for mask, count in zip(classes, counts):
+        for k in range(d - 1, -1, -1):
+            reach[k] |= mask if k < count else mask & reach[k - count]
+    return reach[-1] != full
+
+
+def _solve_survivors(
+    inst: Instance,
+    solver: S0Solver,
+    answer: S0Answer,
+    classes: dict[int, tuple[int, ...]],
+    removed_mask: int,
+    answers: dict[tuple[int, ...], bool] | None = None,
+    need_teams: bool = True,
+) -> tuple[bool, TeamSet | None]:
+    """The zero-removal query on the users left after removed_mask.
+
+    Only the first min(|class|, d) survivors of every occupied class
+    are kept, drawn from the _candidates classes; the answer depends
+    only on these per-class counts. Every team reaches every resource,
+    so d teams need d distinct survivors who reach each one: counts
+    short of that supply for some resource are UNSAT without an inner
+    call. Otherwise, when need_teams, the rung's Verdict solver runs on
+    the kept users in ascending index; the dp and ilp solvers never pick
+    a user outside that set, so their teams are the ones they would find
+    on all survivors. Without need_teams the rung's answer core runs:
+    the dp search without its replay on the kept users' masks, the
+    configuration search with the counts as capacities, or the pivot
+    search. Returns the answer and the inner solver's teams in the
+    caller's numbering, None when it gave none. answers, when given,
+    maps count vectors, in mask order, to answers already found; a
+    vector found there is answered without an inner call, and without
+    teams, unless need_teams.
+    """
+    kept, counts = _survivors(classes, removed_mask, inst.d)
     if answers is not None and not need_teams and counts in answers:
         return answers[counts], None
-    sub = inner(restrict(inst, kept))
+    found = None
+    if _starved(classes, counts, inst.target, inst.d):
+        sat = False
+    elif not need_teams:
+        sat = answer(kept, counts)
+    else:
+        kept.sort()
+        sub = solver(restrict(inst, kept))
+        sat = sub.sat
+        if sat and isinstance(sub.witness, TeamSet):
+            found = TeamSet(
+                tuple(frozenset(kept[i] for i in team) for team in sub.witness.teams)
+            )
     if answers is not None:
-        answers[counts] = sub.sat
-    if not sub.sat or not isinstance(sub.witness, TeamSet):
-        return sub.sat, None
-    mapped = TeamSet(tuple(frozenset(kept[i] for i in team) for team in sub.witness.teams))
-    return True, mapped
+        answers[counts] = sat
+    return sat, found
 
 
 def _blocker(removed_mask: int, n: int) -> BlockerSet:
@@ -154,13 +227,13 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 
     The inner solver's teams, and with them the branching order, are
     the ones it would find on all survivors (see _solve_survivors).
-    Nodes with no budget left read only the inner answer, which is
-    cached by the capped per-class survivor counts across the whole
-    search.
+    Nodes with no budget left, the root apart, read only the inner
+    answer, from the rung's answer core, cached by the capped per-class
+    survivor counts across the whole search.
     """
     require_normalized(inst)
     classes = _candidates(inst)
-    inner_name, inner = _pick_s0(inst, limits)
+    inner_name, solver, answer = _pick_s0(inst, limits, classes)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
@@ -171,8 +244,10 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         stats.nodes += 1
         if removed_mask in outcomes:
             return outcomes[removed_mask]
+        # Teams to branch on, or at the root the s = 0 witness.
+        need_teams = budget > 0 or not removed_mask
         sat, found = _solve_survivors(
-            inst, inner, classes, removed_mask, answers, need_teams=budget > 0
+            inst, solver, answer, classes, removed_mask, answers, need_teams
         )
         if not removed_mask:
             root_teams[0] = found
@@ -207,8 +282,9 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     of that class, and all of those are charged against the budget.
     Enumerate per-class deletion counts in class bitmask order, skip
     vectors whose total cost exceeds s, and put the zero-removal query
-    to the survivors. The removal set of the first vector that blocks is
-    the witness.
+    to the survivors; at s > 0 no vector needs teams, so every one goes
+    to the rung's answer core. The removal set of the first vector that
+    blocks is the witness.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -217,7 +293,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"exceeds {limits.max_classes}"
         )
     classes = _candidates(inst)
-    inner_name, inner = _pick_s0(inst, limits)
+    inner_name, solver, answer = _pick_s0(inst, limits, classes)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
 
@@ -239,7 +315,9 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
         # beyond removed_mask, then those whose first further deletion
         # is in the last class, and so on back to class start.
         stats.nodes += 1
-        sat, found = _solve_survivors(inst, inner, classes, removed_mask)
+        sat, found = _solve_survivors(
+            inst, solver, answer, classes, removed_mask, need_teams=not s
+        )
         if not sat:
             return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
         if not removed_mask:

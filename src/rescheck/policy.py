@@ -138,12 +138,21 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Limits:
-    """Search budgets; solvers fail loudly with BudgetError beyond them."""
+    """Search budgets; solvers fail loudly with BudgetError beyond them.
+
+    Every field must be non-negative; zero is a valid budget that admits
+    nothing, or only the smallest case, of its solver.
+    """
 
     dp_bits: int = 24
     max_classes: int = 4096
     oracle_users: int = 20
     max_configs: int = 200_000
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 DEFAULT_LIMITS = Limits()

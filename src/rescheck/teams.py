@@ -3,7 +3,8 @@
 Three exact routes with different parameter sweet spots:
 
 * dp_solve: dynamic programming over (user prefix, per-team remaining
-  demand and size), exponential only in d*|P|.
+  demand and size), exponential only in d*|P|. Its search, dp_search,
+  also answers on bare access masks for callers that need no teams.
 * ilp_solve: enumerate team configurations (sets of neighborhood
   classes) and search for a feasible multiplicity vector, exponential
   only in |P|.
@@ -18,7 +19,7 @@ which is exactly the definition of the s=0 query failing.
 from __future__ import annotations
 
 import sys
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .policy import (
     DEFAULT_LIMITS,
@@ -45,19 +46,25 @@ def _unsat(stats: SolveStats) -> Verdict:
     return Verdict(UNSAT, BlockerSet(frozenset()), stats)
 
 
-def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Team existence via DP over user prefixes and residual demands.
+def dp_search(
+    access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
+) -> tuple[bool, list[set[int]] | None, int]:
+    """dp_solve's search on bare data: are there d disjoint teams of at
+    most t users, drawn from the users with these access masks, that each
+    reach all p resources?
 
-    State: for each of the d teams, the target resources it still
-    misses plus how many members it has so far; user i either joins one
-    team that it helps and that has room, or is skipped. The size
-    counter is what makes finite t honest, with t unbounded it never
-    binds. States are packed into a single integer and memoized
-    sparsely under the prefix length and the state with its team fields
-    sorted, since teams are interchangeable; only states reachable from
-    the root query are ever visited, which keeps the visited count
-    within n * 2^(d|P|) * (t+1)^d. The demand bit budget d*|P| is
-    checked up front.
+    Returns the answer, the teams as sets of indices into access when
+    replay is asked for and the answer is SAT (else None), and the
+    number of memoized states.
+
+    State: for each of the d teams, the resources it still misses plus
+    how many members it has so far; user i either joins one team that it
+    helps and that has room, or is skipped. The size counter is what
+    makes finite t honest. States are packed into a single integer and
+    memoized sparsely under the prefix length and the state with its
+    team fields sorted, since teams are interchangeable; only states
+    reachable from the root query are ever visited, which keeps the
+    visited count within n * 2^(d*p) * (t+1)^d.
 
     A state is dead, and answered False without searching below it,
     when a team that still misses a resource is full, or when some
@@ -66,23 +73,12 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     need distinct such users. Both tests reduce to the fewest leading
     users a state needs, computed once per state. The replay walks the
     unsorted states and only follows those whose value is True, so
-    neither the sorted key nor the prune changes the witness. The caches
+    neither the sorted key nor the prune changes the teams. The caches
     are cleared on return; the recursive closure would otherwise keep
     them alive until the cyclic garbage collector runs.
     """
-    require_normalized(inst)
-    stats = SolveStats(algorithm="dp")
-    n, p, d = inst.n, inst.num_resources, inst.d
-    if d * p > limits.dp_bits:
-        raise BudgetError(
-            f"dp budget: d*|P| = {d * p} exceeds {limits.dp_bits} bits; "
-            "use ilp or raise --dp-bits"
-        )
-    if p == 0:
-        return _trivial_sat(stats, d)
-    t = int(inst.t)
-    full = inst.target
-    access = inst.access
+    n = len(access)
+    full = (1 << p) - 1
     cap_bits = t.bit_length()
     size_mask = (1 << cap_bits) - 1
     width = p + cap_bits
@@ -110,7 +106,6 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     shapes: dict[int, tuple[int, int]] = {}
     index_bits = n.bit_length()
     field_mask = (1 << width) - 1
-    stats.extras["dp_bits"] = d * p
 
     def moves(i: int, state: int):
         # Children of (i, state) that place user i-1 into a team.
@@ -175,9 +170,8 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         sys.setrecursionlimit(n + 200)
     try:
         sat = value(n, initial)
-        stats.nodes = len(memo)
-        if not sat:
-            return _unsat(stats)
+        if not sat or not replay:
+            return sat, None, len(memo)
 
         # Replay the memo to pull out one concrete team assignment.
         teams: list[set[int]] = [set() for _ in range(d)]
@@ -194,10 +188,34 @@ def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                     break
             else:  # pragma: no cover - would mean the memo is inconsistent
                 raise RuntimeError("dp witness replay failed")
+        return True, teams, len(memo)
     finally:
         sys.setrecursionlimit(old_limit)
         memo.clear()
         shapes.clear()
+
+
+def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """Team existence via DP over user prefixes and residual demands.
+
+    dp_search answers the question and replays its memo for one team
+    assignment, which becomes the witness. The demand bit budget d*|P|
+    is checked up front.
+    """
+    require_normalized(inst)
+    stats = SolveStats(algorithm="dp")
+    p, d = inst.num_resources, inst.d
+    if d * p > limits.dp_bits:
+        raise BudgetError(
+            f"dp budget: d*|P| = {d * p} exceeds {limits.dp_bits} bits; "
+            "use ilp or raise --dp-bits"
+        )
+    if p == 0:
+        return _trivial_sat(stats, d)
+    stats.extras["dp_bits"] = d * p
+    sat, teams, stats.nodes = dp_search(inst.access, p, d, int(inst.t), replay=True)
+    if not sat:
+        return _unsat(stats)
     return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import rescheck.teams
 from conftest import instances, norm
 from rescheck import (
+    DEFAULT_LIMITS,
     INF,
     BlockerSet,
     BudgetError,
@@ -32,9 +33,38 @@ from rescheck import (
     restrict,
     solve,
     solve_rcp_bruteforce,
+    solve_s0_bruteforce,
     verify_witness,
 )
-from rescheck.blockers import outside_domain
+from rescheck.blockers import (
+    _candidates,
+    _pick_s0,
+    _starved,
+    _survivors,
+    outside_domain,
+)
+
+# Each budget ladder rung, reached by limits every instance below fits.
+RUNGS = {
+    "dp": DEFAULT_LIMITS,
+    "ilp": Limits(dp_bits=0),
+    "pivot": Limits(dp_bits=0, max_classes=1),
+}
+
+
+def counting(monkeypatch, *names):
+    # Wrap the named rescheck.teams functions; returns the list of the
+    # names called, in call order.
+    calls = []
+    for name in names:
+        original = getattr(rescheck.teams, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rescheck.teams, name, wrapper)
+    return calls
 
 
 class TestBranch:
@@ -64,6 +94,24 @@ class TestBranch:
         v = branch_solve(x)
         assert v.witness == TeamSet((frozenset({0, 3}),))
         assert verify_witness(x, v)
+
+    @pytest.mark.parametrize("rung", RUNGS)
+    def test_starved_survivors_make_no_inner_call(self, rung, monkeypatch):
+        # removing user 0 leaves one user who reaches r0 for d = 2 teams;
+        # only the root, which needs teams to branch on, asks the rung
+        calls = counting(
+            monkeypatch, "dp_solve", "dp_search", "ilp_solve", "ilp_feasible", "pivot_solve"
+        )
+        x = norm([[0, 1], [0, 1], [1]], p=2, s=1, d=2, t=2)
+        v = branch_solve(x, limits=RUNGS[rung])
+        assert v.stats.algorithm == f"branch+{rung}"
+        assert v.witness == BlockerSet(frozenset({0}))
+        assert v.stats.nodes == 2
+        assert calls == {
+            "dp": ["dp_solve", "dp_search"],
+            "ilp": ["ilp_solve", "ilp_feasible"],
+            "pivot": ["pivot_solve"],
+        }[rung]
 
     def test_node_count_within_branching_bound(self):
         x = norm([[0, 1], [0], [1], [0, 1]], p=2, s=2, d=2, t=2)
@@ -137,6 +185,26 @@ class TestReduced:
         assert v.sat and verify_witness(x, v)
         assert len(calls) == 1
         assert v.stats.nodes == 1
+
+    def test_s_positive_makes_no_dp_solve_call(self, monkeypatch):
+        # at s > 0 no node needs teams: the dp search answers on bare
+        # masks, and no sub-instance is built
+        calls = counting(monkeypatch, "dp_solve", "dp_search")
+        x = norm([[0], [0], [1], [1], [0, 1]], p=2, s=1, d=2, t=2)
+        v = reduced_solve(x)
+        assert v.stats.algorithm == "reduced+dp"
+        assert v.sat and v.witness is None and solve_rcp_bruteforce(x).sat
+        assert v.stats.nodes == 4
+        assert "dp_solve" not in calls and calls.count("dp_search") >= 2
+
+    def test_ilp_rung_enumerates_configurations_once(self, monkeypatch):
+        calls = counting(monkeypatch, "enumerate_configurations", "ilp_solve")
+        x = norm([[0], [0], [1], [1], [0, 1], [0, 1]], p=2, s=2, d=2, t=2)
+        v = reduced_solve(x, limits=RUNGS["ilp"])
+        assert v.stats.algorithm == "reduced+ilp"
+        assert v.sat and solve_rcp_bruteforce(x).sat
+        assert v.stats.nodes == 10
+        assert calls == ["enumerate_configurations"]
 
     def test_class_budget(self):
         x = norm([[0, 1, 2]], p=3, s=1, d=1, t=3)
@@ -373,3 +441,22 @@ def test_searches_agree_beyond_the_oracle_guard(y):
             assert len(v.witness.users) <= y.s
             survivors = [u for u in range(y.n) if u not in v.witness.users]
             assert not ilp_solve(restrict(y, survivors)).sat
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances(max_n=7, max_p=3, max_d=3), st.lists(st.integers(0, 6), unique=True))
+def test_supply_screen_and_answer_cores_match_the_solvers(x, removals):
+    # the screen only rejects survivor sets the oracle rejects, and each
+    # rung's answer core agrees with its Verdict solver on the kept users
+    y = normalize(x)
+    removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
+    classes = _candidates(y)
+    kept, counts = _survivors(classes, removed_mask, y.d)
+    sub = restrict(y, kept)
+    if _starved(classes, counts, y.target, y.d):
+        survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
+        assert not solve_s0_bruteforce(restrict(y, survivors)).sat
+    for rung, solver in (("dp", dp_solve), ("ilp", ilp_solve)):
+        name, _, answer = _pick_s0(y, RUNGS[rung], classes)
+        assert name == rung
+        assert answer(kept, counts) == solver(sub, limits=RUNGS[rung]).sat

@@ -68,6 +68,16 @@ class TestSolve:
             err = capsys.readouterr().err
             assert "answers only s=0" in err
 
+    @pytest.mark.parametrize(
+        "flag", ["--dp-bits", "--max-classes", "--oracle-users", "--max-configs"]
+    )
+    def test_negative_budget_exits_two(self, flag, resilient, capsys):
+        assert main(["solve", resilient, flag, "-1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        field = flag[2:].replace("-", "_")
+        assert f"error: {field} must be non-negative" in captured.err
+
     def test_dp_budget_exceeded_exits_three(self, tmp_path, capsys):
         x = inst([[0], [1]], p=2, s=0, d=1, t=2)
         path = write_instance(tmp_path / "x.json", x)

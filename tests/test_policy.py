@@ -11,6 +11,7 @@ from rescheck import (
     BlockerSet,
     DegenerateInstanceError,
     Instance,
+    Limits,
     PreconditionError,
     SolveStats,
     TeamSet,
@@ -163,6 +164,17 @@ class TestClassPartition:
             seen.extend(members)
         assert sorted(seen) == list(range(x.n))
         assert list(part) == sorted(part)
+
+
+class TestLimits:
+    @pytest.mark.parametrize("field", ["dp_bits", "max_classes", "oracle_users", "max_configs"])
+    def test_negative_budget_names_its_field(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            Limits(**{field: -1})
+
+    def test_zero_budgets_stay_valid(self):
+        # the tests reach the last rungs with these
+        Limits(dp_bits=0, max_classes=0, oracle_users=0, max_configs=0)
 
 
 class TestVerifyWitness:
