@@ -1,32 +1,31 @@
 """Solvers for the general query with a removal budget s > 0, and routing.
 
 Both searches try removal sets and put the zero-removal question to an
-inner s=0 solver through one step, _solve_survivors. Whether that
+inner s=0 core through one step, _solve_survivors. Whether that
 question is SAT depends only on how many survivors each neighborhood
-class keeps, capped at d, so the inner solver sees only the first
-min(|class|, d) survivors of every occupied class and its teams are
-mapped back to the caller's numbering. Both searches read the classes
-from one table, _candidates, cut from class_partition. Before any inner
-call, a supply screen sums the capped counts per resource: d disjoint
-covering teams need d distinct survivors who reach each resource, so a
-resource with fewer is UNSAT outright. The inner solver is always the
-one the budget ladder picks. Only the nodes that need teams (branch's
-root and its nodes with budget left, and reduced's root at s=0) get the
-rung's Verdict solver on a restricted sub-instance; the others (branch's
-other budget-0 nodes, every reduced node at s>0) get its answer core on
-bare data, the dp search without its replay or the configuration search
-over one configuration list per search. branch_solve picks removals
-from the team sets it finds; reduced_solve enumerates how many
-representatives to delete per class, one recursion level per deletion,
-so its depth stays within s + 1 however many classes there are.
-fastpath_d1_tinf answers the single-team unbounded-size case by
-counting coverage.
+class keeps, capped at d, so the core sees only the first
+min(|class|, d) survivors of every occupied class, and its teams are in
+the caller's numbering. Both searches read the classes from one table,
+_candidates, cut from class_partition. Before any core call, a supply
+screen sums the capped counts per resource: d disjoint covering teams
+need d distinct survivors who reach each resource, so a resource with
+fewer is UNSAT outright. The core is the one the budget ladder picks,
+and it runs on bare data at every node, with no sub-instance: the dp
+search or the pivot search on the kept users' masks, or the
+configuration search over one configuration list per search with the
+counts as capacities. Only the nodes that need teams (branch's root
+and its nodes with budget left, and reduced's root at s=0) ask it for
+them. branch_solve picks removals from the team sets it finds;
+reduced_solve enumerates how many representatives to delete per class,
+one recursion level per deletion, so its depth stays within s + 1
+however many classes there are. fastpath_d1_tinf answers the
+single-team unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
 others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
 class counting while 2^|P| fits max_classes, else the pivot search) that
-"auto" and the searches' choice of inner solver both read. On the pivot
+"auto" and the searches' choice of inner core both read. On the pivot
 rung, auto runs branch_solve at every s, whose search size does not
 depend on |P|; at s=0 that search makes one inner call.
 """
@@ -50,11 +49,12 @@ from .policy import (
     Verdict,
     class_partition,
     require_normalized,
-    restrict,
+    restrict,  # unused here; perfbench/tracing.py binds blockers.restrict
 )
 
-S0Solver = Callable[[Instance], Verdict]
-S0Answer = Callable[[list[int], tuple[int, ...]], bool]
+# An s=0 core: (kept users ascending, per-class counts, need_teams) to
+# the answer and, when asked for and SAT, teams in the caller's numbering.
+S0Core = Callable[[list[int], tuple[int, ...], bool], tuple[bool, TeamSet | None]]
 
 
 def outside_domain(inst: Instance, name: str) -> str | None:
@@ -84,35 +84,41 @@ def _rung(inst: Instance, limits: Limits) -> str:
 
 def _pick_s0(
     inst: Instance, limits: Limits, classes: dict[int, tuple[int, ...]]
-) -> tuple[str, S0Solver, S0Answer]:
-    # The rung's name, its Verdict solver for the nodes that need teams,
-    # and its answer core, on the kept users and the per-class counts,
-    # for the nodes that need only the answer.
+) -> tuple[str, S0Core]:
+    # The rung's name and its core on bare data.
     rung = _rung(inst, limits)
-    if rung == "pivot":
-        return rung, teams.pivot_solve, lambda kept, _: teams.pivot_solve(
-            restrict(inst, kept)
-        ).sat
-    # dp_solve and ilp_solve ignore s, so they serve the survivors as is.
-    runner = STRATEGIES[rung]
-    p, d, t = inst.num_resources, inst.d, int(inst.t)
+    access, p, d, t = inst.access, inst.num_resources, inst.d, int(inst.t)
+    if rung != "ilp":
+        search = teams.dp_search if rung == "dp" else teams.pivot_search
+
+        def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
+            sat, found, _ = search([access[u] for u in kept], p, d, t, replay=need_teams)
+            if found is None:
+                return sat, None
+            return sat, TeamSet(tuple(frozenset(kept[i] for i in team) for team in found))
+
+        return rung, core
     configs: list[tuple[int, ...]] | None = None
 
-    def solver(sub: Instance) -> Verdict:
-        return runner(sub, limits)
-
-    def answer(kept: list[int], counts: tuple[int, ...]) -> bool:
+    def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
         nonlocal configs
-        if rung == "dp":
-            return teams.dp_search([inst.access[u] for u in sorted(kept)], p, d, t)[0]
         # The configurations depend only on the occupied classes and t,
         # so one list, made when first needed, serves the whole search;
-        # the counts are the capacities, zero for emptied classes.
+        # the counts are the capacities, zero for emptied classes, whose
+        # configurations the search passes through with multiplicity 0.
         if configs is None:
             configs = teams.enumerate_configurations(inst, limits=limits)
-        return teams.ilp_feasible(configs, dict(zip(classes, counts)), d)[0] is not None
+        vector = teams.ilp_feasible(configs, dict(zip(classes, counts)), d)[0]
+        if vector is None or not need_teams:
+            return vector is not None, None
+        # Each class's kept users, ascending; access masks are class
+        # masks on a normalized instance.
+        pools: dict[int, list[int]] = {}
+        for u in kept:
+            pools.setdefault(access[u], []).append(u)
+        return True, teams.reconstruct_teams(pools, vector)
 
-    return rung, solver, answer
+    return rung, core
 
 
 def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
@@ -161,8 +167,7 @@ def _starved(
 
 def _solve_survivors(
     inst: Instance,
-    solver: S0Solver,
-    answer: S0Answer,
+    core: S0Core,
     classes: dict[int, tuple[int, ...]],
     removed_mask: int,
     answers: dict[tuple[int, ...], bool] | None = None,
@@ -175,34 +180,23 @@ def _solve_survivors(
     only on these per-class counts. Every team reaches every resource,
     so d teams need d distinct survivors who reach each one: counts
     short of that supply for some resource are UNSAT without an inner
-    call. Otherwise, when need_teams, the rung's Verdict solver runs on
-    the kept users in ascending index; the dp and ilp solvers never pick
-    a user outside that set, so their teams are the ones they would find
-    on all survivors. Without need_teams the rung's answer core runs:
-    the dp search without its replay on the kept users' masks, the
-    configuration search with the counts as capacities, or the pivot
-    search. Returns the answer and the inner solver's teams in the
-    caller's numbering, None when it gave none. answers, when given,
-    maps count vectors, in mask order, to answers already found; a
-    vector found there is answered without an inner call, and without
-    teams, unless need_teams.
+    call. Otherwise the rung's core runs on the kept users in ascending
+    index, asked for teams only when need_teams; no solver picks a user
+    outside that set, so its teams are the ones it would find on all
+    survivors. Returns the answer and the core's teams in the caller's
+    numbering, None when it gave none. answers, when given, maps count
+    vectors, in mask order, to answers already found; a vector found
+    there is answered without an inner call, and without teams, unless
+    need_teams.
     """
     kept, counts = _survivors(classes, removed_mask, inst.d)
     if answers is not None and not need_teams and counts in answers:
         return answers[counts], None
-    found = None
     if _starved(classes, counts, inst.target, inst.d):
-        sat = False
-    elif not need_teams:
-        sat = answer(kept, counts)
+        sat, found = False, None
     else:
         kept.sort()
-        sub = solver(restrict(inst, kept))
-        sat = sub.sat
-        if sat and isinstance(sub.witness, TeamSet):
-            found = TeamSet(
-                tuple(frozenset(kept[i] for i in team) for team in sub.witness.teams)
-            )
+        sat, found = core(kept, counts, need_teams)
     if answers is not None:
         answers[counts] = sat
     return sat, found
@@ -225,15 +219,15 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     size fixes the remaining budget), so revisits along another
     branching order are answered from a cache.
 
-    The inner solver's teams, and with them the branching order, are
-    the ones it would find on all survivors (see _solve_survivors).
-    Nodes with no budget left, the root apart, read only the inner
-    answer, from the rung's answer core, cached by the capped per-class
-    survivor counts across the whole search.
+    The core's teams, and with them the branching order, are the ones
+    it would find on all survivors (see _solve_survivors). Nodes with
+    no budget left, the root apart, ask the core only for the answer,
+    cached by the capped per-class survivor counts across the whole
+    search.
     """
     require_normalized(inst)
     classes = _candidates(inst)
-    inner_name, solver, answer = _pick_s0(inst, limits, classes)
+    inner_name, core = _pick_s0(inst, limits, classes)
     stats = SolveStats(algorithm=f"branch+{inner_name}")
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
@@ -246,9 +240,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             return outcomes[removed_mask]
         # Teams to branch on, or at the root the s = 0 witness.
         need_teams = budget > 0 or not removed_mask
-        sat, found = _solve_survivors(
-            inst, solver, answer, classes, removed_mask, answers, need_teams
-        )
+        sat, found = _solve_survivors(inst, core, classes, removed_mask, answers, need_teams)
         if not removed_mask:
             root_teams[0] = found
         result: Verdict | None = None
@@ -256,7 +248,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
             result = Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
         elif budget > 0:
             if found is None:
-                raise RuntimeError("inner s=0 solver returned SAT without teams")
+                raise RuntimeError("inner s=0 core returned SAT without teams")
             for u in sorted(set().union(*found.teams)):
                 result = node(removed_mask | (1 << u), budget - 1)
                 if result is not None:
@@ -282,9 +274,9 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     of that class, and all of those are charged against the budget.
     Enumerate per-class deletion counts in class bitmask order, skip
     vectors whose total cost exceeds s, and put the zero-removal query
-    to the survivors; at s > 0 no vector needs teams, so every one goes
-    to the rung's answer core. The removal set of the first vector that
-    blocks is the witness.
+    to the survivors; at s > 0 no vector needs teams, so the rung's core
+    is asked only for the answer. The removal set of the first vector
+    that blocks is the witness.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -293,7 +285,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"exceeds {limits.max_classes}"
         )
     classes = _candidates(inst)
-    inner_name, solver, answer = _pick_s0(inst, limits, classes)
+    inner_name, core = _pick_s0(inst, limits, classes)
     stats = SolveStats(algorithm=f"reduced+{inner_name}")
     d, s = inst.d, inst.s
 
@@ -315,9 +307,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
         # beyond removed_mask, then those whose first further deletion
         # is in the last class, and so on back to class start.
         stats.nodes += 1
-        sat, found = _solve_survivors(
-            inst, solver, answer, classes, removed_mask, need_teams=not s
-        )
+        sat, found = _solve_survivors(inst, core, classes, removed_mask, need_teams=not s)
         if not sat:
             return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
         if not removed_mask:

@@ -12,11 +12,12 @@ resource indices. String labels are carried along so witnesses can be
 reported in the caller's vocabulary.
 
 Two functions cut instances down. restrict keeps a subset of users and
-leaves the query as it is; the searches call it at every node. project
-deletes users and resources, renumbers densely, keeps labels, projects
-the target and clamps t; normalize and every kernel reduction are
-projections. class_partition groups users by the target resources they
-reach, the neighborhood classes the solvers count.
+leaves the query as it is; only the oracle's survivor check calls it,
+since the blocker searches run on bare data. project deletes users and
+resources, renumbers densely, keeps labels, projects the target and
+clamps t; normalize and every kernel reduction are projections.
+class_partition groups users by the target resources they reach, the
+neighborhood classes the solvers count.
 """
 
 from __future__ import annotations

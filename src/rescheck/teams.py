@@ -3,14 +3,18 @@
 Three exact routes with different parameter sweet spots:
 
 * dp_solve: dynamic programming over (user prefix, per-team remaining
-  demand and size), exponential only in d*|P|. Its search, dp_search,
-  also answers on bare access masks for callers that need no teams.
+  demand and size), exponential only in d*|P|.
 * ilp_solve: enumerate team configurations (sets of neighborhood
   classes) and search for a feasible multiplicity vector, exponential
   only in |P|.
 * pivot_solve: branch on the users who reach a team's lowest missing
   resource, at most n^(d*t) leaves whatever |P| is; each call stops
   at PIVOT_MAX_NODES states.
+
+Each is a thin wrapper over a search on bare data that the blocker
+searches call directly: dp_search and pivot_search on access masks,
+ilp_feasible on a configuration list and class capacities, with
+reconstruct_teams drawing its teams from per-class pools of users.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
@@ -330,16 +334,18 @@ def ilp_feasible(
 
 
 def reconstruct_teams(
-    inst: Instance, vector: dict[tuple[int, ...], int]
+    pools: dict[int, Sequence[int]], vector: dict[tuple[int, ...], int]
 ) -> TeamSet:
     """Materialize teams from a feasible configuration vector.
 
-    Each team takes the lowest-index not-yet-used user of every class
-    named by its configuration. Capacity feasibility guarantees the
-    pools never run dry; running dry anyway means the vector did not
-    come from ilp_feasible and is an internal error.
+    pools maps each class bitmask to its users in ascending index. Each
+    team takes the lowest-index not-yet-used user of every class named
+    by its configuration. Capacity feasibility guarantees the pools
+    never run dry; running dry anyway means the vector did not come
+    from ilp_feasible with these pools' sizes as capacities and is an
+    internal error.
     """
-    pools = {mask: list(users) for mask, users in class_partition(inst).items()}
+    pools = {mask: list(users) for mask, users in pools.items()}
     teams = []
     for parts, count in vector.items():
         for _ in range(count):
@@ -366,21 +372,18 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     if inst.num_resources == 0:
         return _trivial_sat(stats, inst.d)
     configs = enumerate_configurations(inst, limits=limits)
-    capacities = {
-        mask: len(users)
-        for mask, users in class_partition(inst).items()
-        if mask
-    }
+    classes = class_partition(inst)
+    capacities = {mask: len(users) for mask, users in classes.items() if mask}
     vector, nodes = ilp_feasible(configs, capacities, inst.d)
     stats.nodes = nodes
     stats.extras["configurations"] = len(configs)
     if vector is None:
         return _unsat(stats)
-    witness = reconstruct_teams(inst, vector)
+    witness = reconstruct_teams(classes, vector)
     return Verdict(SAT, witness, stats)
 
 
-# States one pivot_solve call may enter before it raises BudgetError.
+# States one pivot_search call may enter before it raises BudgetError.
 # Capped searches on a 2-vCPU x86 host took 1.4-2.1 us and 100-135 bytes
 # (the failed-state memo) per state, so a call stays within about 1 s and
 # 70 MB. The cap is per call: branch_solve may make sum over i <= s of
@@ -388,16 +391,24 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 PIVOT_MAX_NODES = 500_000
 
 
-def pivot_solve(inst: Instance) -> Verdict:
-    """Team search that branches on the lowest uncovered resource.
+def pivot_search(
+    access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
+) -> tuple[bool, list[set[int]] | None, int]:
+    """pivot_solve's search on bare data: are there d disjoint teams of
+    at most t users, drawn from the users with these access masks, that
+    each reach all p >= 1 resources?
+
+    Returns the answer, the teams as sets of indices into access when
+    replay is asked for and the answer is SAT (else None), and the
+    number of states entered.
 
     Teams are filled one at a time. The first unfinished team takes its
     lowest missing resource r, and the search branches over the unused
     users who reach r, in ascending index. Every step adds one member,
     so a path is at most d*t picks long and the tree has at most n^(d*t)
-    leaves, however large |P| is. The search is complete: a solution
-    team always holds an unused user who reaches its lowest missing
-    resource and is not yet picked, so some branch stays inside it.
+    leaves, however large p is. The search is complete: a solution team
+    always holds an unused user who reaches its lowest missing resource
+    and is not yet picked, so some branch stays inside it.
 
     A state is (team index, its missing resources, its size, the mask
     of users taken); what lies below a state depends on nothing else,
@@ -406,24 +417,17 @@ def pivot_solve(inst: Instance) -> Verdict:
     against PIVOT_MAX_NODES. Teams come back in the order they were
     filled.
     """
-    require_normalized(inst)
-    stats = SolveStats(algorithm="pivot")
-    n, d, t = inst.n, inst.d, int(inst.t)
-    full = inst.target
-    if not full:
-        return _trivial_sat(stats, d)
-    access = inst.access
-    reach = [
-        [u for u in range(n) if access[u] >> r & 1] for r in range(inst.num_resources)
-    ]
+    full = (1 << p) - 1
+    reach = [[u for u, mask in enumerate(access) if mask >> r & 1] for r in range(p)]
     limit = PIVOT_MAX_NODES
+    nodes = 0
     failed: set[tuple[int, int, int, int]] = set()
     frames: list[tuple[tuple[int, int, int, int], Iterator[int]]] = []
     picks: list[int] = []  # picks[k]: the user taken at frames[k]
     state = (0, full, 0, 0)
     while True:
-        stats.nodes += 1
-        if stats.nodes > limit:
+        nodes += 1
+        if nodes > limit:
             raise BudgetError(f"node budget: pivot search exceeds {limit} nodes")
         if state[2] < t and state not in failed:
             demand = state[1]
@@ -439,7 +443,7 @@ def pivot_solve(inst: Instance) -> Verdict:
                 continue
             break
         else:
-            return _unsat(stats)
+            return False, None, nodes
         del picks[len(frames) - 1 :]
         picks.append(u)
         used |= 1 << u
@@ -450,7 +454,26 @@ def pivot_solve(inst: Instance) -> Verdict:
             state = (j + 1, full, 0, used)
         else:
             break
+    if not replay:
+        return True, None, nodes
     teams: list[set[int]] = [set() for _ in range(d)]
     for (frame_state, _), u in zip(frames, picks):
         teams[frame_state[0]].add(u)
+    return True, teams, nodes
+
+
+def pivot_solve(inst: Instance) -> Verdict:
+    """Team search that branches on the lowest uncovered resource.
+
+    pivot_search answers the question and keeps its picks for one team
+    assignment, which becomes the witness.
+    """
+    require_normalized(inst)
+    stats = SolveStats(algorithm="pivot")
+    p, d = inst.num_resources, inst.d
+    if p == 0:
+        return _trivial_sat(stats, d)
+    sat, teams, stats.nodes = pivot_search(inst.access, p, d, int(inst.t), replay=True)
+    if not sat:
+        return _unsat(stats)
     return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)

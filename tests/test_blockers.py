@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rescheck.blockers
+import rescheck.policy
 import rescheck.teams
 from conftest import instances, norm
 from rescheck import (
@@ -29,6 +31,7 @@ from rescheck import (
     find_minimal_blocker,
     ilp_solve,
     normalize,
+    pivot_solve,
     reduced_solve,
     restrict,
     solve,
@@ -98,9 +101,16 @@ class TestBranch:
     @pytest.mark.parametrize("rung", RUNGS)
     def test_starved_survivors_make_no_inner_call(self, rung, monkeypatch):
         # removing user 0 leaves one user who reaches r0 for d = 2 teams;
-        # only the root, which needs teams to branch on, asks the rung
+        # only the root, which needs teams to branch on, asks the rung's
+        # core, and no Verdict solver runs
         calls = counting(
-            monkeypatch, "dp_solve", "dp_search", "ilp_solve", "ilp_feasible", "pivot_solve"
+            monkeypatch,
+            "dp_solve",
+            "dp_search",
+            "ilp_solve",
+            "ilp_feasible",
+            "pivot_solve",
+            "pivot_search",
         )
         x = norm([[0, 1], [0, 1], [1]], p=2, s=1, d=2, t=2)
         v = branch_solve(x, limits=RUNGS[rung])
@@ -108,9 +118,9 @@ class TestBranch:
         assert v.witness == BlockerSet(frozenset({0}))
         assert v.stats.nodes == 2
         assert calls == {
-            "dp": ["dp_solve", "dp_search"],
-            "ilp": ["ilp_solve", "ilp_feasible"],
-            "pivot": ["pivot_solve"],
+            "dp": ["dp_search"],
+            "ilp": ["ilp_feasible"],
+            "pivot": ["pivot_search"],
         }[rung]
 
     def test_node_count_within_branching_bound(self):
@@ -173,17 +183,19 @@ class TestReduced:
             assert verify_witness(x, v)
 
     def test_s0_makes_one_inner_call(self, monkeypatch):
-        calls = []
+        # the one call replays its memo for the witness teams
+        replays = []
+        search = rescheck.teams.dp_search
 
-        def counting(sub, *, limits):
-            calls.append(sub)
-            return dp_solve(sub, limits=limits)
+        def counting(*args, replay=False):
+            replays.append(replay)
+            return search(*args, replay=replay)
 
-        monkeypatch.setattr(rescheck.teams, "dp_solve", counting)
+        monkeypatch.setattr(rescheck.teams, "dp_search", counting)
         x = norm([[0], [1]], p=2, s=0, d=1, t=2)
         v = reduced_solve(x)
         assert v.sat and verify_witness(x, v)
-        assert len(calls) == 1
+        assert replays == [True]
         assert v.stats.nodes == 1
 
     def test_s_positive_makes_no_dp_solve_call(self, monkeypatch):
@@ -401,6 +413,32 @@ def test_pivot_rung_agrees_with_the_oracle(x):
         assert v.stats.nodes <= sum((y.d * y.t) ** i for i in range(y.s + 1))
 
 
+def _no_restrict(*args, **kwargs):
+    raise AssertionError("restrict called")
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_n=7, max_p=3, max_s=1, max_d=3))
+def test_no_search_builds_a_sub_instance(x):
+    # every rung's core runs on bare data, teams included; witnesses are
+    # checked outside the patch, since verify_witness restricts
+    y = normalize(x)
+    runs = [(branch_solve, rung) for rung in RUNGS] + [
+        (reduced_solve, "dp"),
+        (reduced_solve, "ilp"),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rescheck.blockers, "restrict", _no_restrict)
+        patch.setattr(rescheck.policy, "restrict", _no_restrict)
+        verdicts = [(rung, search(y, limits=RUNGS[rung])) for search, rung in runs]
+    want = solve_rcp_bruteforce(y).sat
+    for rung, v in verdicts:
+        assert v.stats.algorithm.endswith(f"+{rung}")
+        assert v.sat == want
+        if v.witness is not None:
+            assert verify_witness(y, v)
+
+
 @st.composite
 def crowded_instances(draw):
     # More users than the oracle takes, a full target and a sparse
@@ -447,16 +485,31 @@ def test_searches_agree_beyond_the_oracle_guard(y):
 @given(instances(max_n=7, max_p=3, max_d=3), st.lists(st.integers(0, 6), unique=True))
 def test_supply_screen_and_answer_cores_match_the_solvers(x, removals):
     # the screen only rejects survivor sets the oracle rejects, and each
-    # rung's answer core agrees with its Verdict solver on the kept users
+    # rung's core agrees with its Verdict solver on the kept users: the
+    # same answer, and when asked for teams, the same teams in the
+    # caller's numbering
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
     classes = _candidates(y)
     kept, counts = _survivors(classes, removed_mask, y.d)
+    kept.sort()
     sub = restrict(y, kept)
     if _starved(classes, counts, y.target, y.d):
         survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
         assert not solve_s0_bruteforce(restrict(y, survivors)).sat
-    for rung, solver in (("dp", dp_solve), ("ilp", ilp_solve)):
-        name, _, answer = _pick_s0(y, RUNGS[rung], classes)
+    solvers = {
+        "dp": dp_solve,
+        "ilp": ilp_solve,
+        "pivot": lambda sub, limits: pivot_solve(sub),
+    }
+    for rung, solver in solvers.items():
+        name, core = _pick_s0(y, RUNGS[rung], classes)
         assert name == rung
-        assert answer(kept, counts) == solver(sub, limits=RUNGS[rung]).sat
+        want = solver(sub, limits=RUNGS[rung])
+        assert core(kept, counts, False) == (want.sat, None)
+        teams = None
+        if want.sat:
+            teams = TeamSet(
+                tuple(frozenset(kept[i] for i in team) for team in want.witness.teams)
+            )
+        assert core(kept, counts, True) == (want.sat, teams)

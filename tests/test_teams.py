@@ -272,7 +272,7 @@ class TestIlpFeasible:
 
     def test_reconstruct_takes_lowest_free_user_per_class(self):
         x = norm([[0, 1], [0], [1]], p=2, d=2, t=2)
-        teams = reconstruct_teams(x, {(0b11,): 1, (0b01, 0b10): 1})
+        teams = reconstruct_teams(class_partition(x), {(0b11,): 1, (0b01, 0b10): 1})
         assert teams.teams == (frozenset({0}), frozenset({1, 2}))
 
 
@@ -349,9 +349,34 @@ class TestPivot:
         x = norm([[0], [1], [0, 1]], p=2, d=1, t=2)
         monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 3)
         assert pivot_solve(x).sat
+        assert teams.pivot_search(x.access, 2, 1, 2)[0]
         monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 1)
         with pytest.raises(BudgetError, match="node budget"):
             pivot_solve(x)
+        with pytest.raises(BudgetError, match="node budget"):
+            teams.pivot_search(x.access, 2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "rows, p, d, t",
+        [
+            ([[1], [0], [0, 1]], 2, 2, 2),
+            ([[0], [1]], 2, 1, 1),
+            ([[0, 1]] * 5 + [[3]], 4, 1, 4),
+            ([[0, 1], [0, 2], [2], [0]], 3, 2, 3),
+            ([[0]] * 1500, 1, 1500, 1),
+        ],
+        ids=["two-teams", "size-cap", "unreached-resource", "failed-states", "deep"],
+    )
+    def test_search_on_bare_masks_is_the_solvers_search(self, rows, p, d, t):
+        # with replay, the same teams and states as pivot_solve; without
+        # it, the same answer and states and no teams
+        x = norm(rows, p=p, d=d, t=t)
+        v = pivot_solve(x)
+        sat, picked, nodes = teams.pivot_search(x.access, p, d, int(x.t), replay=True)
+        assert (sat, nodes) == (v.sat, v.stats.nodes)
+        found = None if picked is None else tuple(frozenset(team) for team in picked)
+        assert found == (v.witness.teams if v.sat else None)
+        assert teams.pivot_search(x.access, p, d, int(x.t)) == (v.sat, None, v.stats.nodes)
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # 1500 one-user teams: a path of 1500 picks, one state per team
