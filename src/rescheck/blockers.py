@@ -9,16 +9,17 @@ the caller's numbering. Both searches read the classes from one table,
 _candidates, cut from class_partition. Before any core call, a supply
 screen sums the capped counts per resource: d disjoint covering teams
 need d distinct survivors who reach each resource, so a resource with
-fewer is UNSAT outright. The core is the one the budget ladder picks,
-and it runs on bare data at every node, with no sub-instance: the dp
-search or the pivot search on the kept users' masks, or the
-configuration search over one configuration list per search with the
-counts as capacities. Only the nodes that need teams (branch's root
-and its nodes with budget left, and reduced's root at s=0) ask it for
-them. branch_solve picks removals from the team sets it finds;
-reduced_solve enumerates how many representatives to delete per class,
-one recursion level per deletion, so its depth stays within s + 1
-however many classes there are. fastpath_d1_tinf answers the
+fewer is UNSAT outright. The core is teams.s0_core of the rung the
+budget ladder picks, the same core that the dp and ilp routes run once
+on every user, and it runs on bare data at every node, with no
+sub-instance: the dp search or the pivot search on the kept users'
+masks, or the configuration search over one configuration list per
+search with the counts as capacities. Only the nodes that need teams
+(branch's root and its nodes with budget left, and reduced's root at
+s=0) ask it for them. branch_solve picks removals from the team sets
+it finds; reduced_solve enumerates how many representatives to delete
+per class, one recursion level per deletion, so its depth stays within
+s + 1 however many classes there are. fastpath_d1_tinf answers the
 single-team unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
@@ -52,11 +53,6 @@ from .policy import (
     restrict,  # unused here; perfbench/tracing.py binds blockers.restrict
 )
 
-# An s=0 core: (kept users ascending, per-class counts, need_teams) to
-# the answer and, when asked for and SAT, teams in the caller's numbering.
-S0Core = Callable[[list[int], tuple[int, ...], bool], tuple[bool, TeamSet | None]]
-
-
 def outside_domain(inst: Instance, name: str) -> str | None:
     """Why strategy name does not answer inst exactly, None when it does.
 
@@ -84,41 +80,10 @@ def _rung(inst: Instance, limits: Limits) -> str:
 
 def _pick_s0(
     inst: Instance, limits: Limits, classes: dict[int, tuple[int, ...]]
-) -> tuple[str, S0Core]:
-    # The rung's name and its core on bare data.
+) -> tuple[str, Callable]:
+    # The rung's name and its s = 0 core on the classes' users.
     rung = _rung(inst, limits)
-    access, p, d, t = inst.access, inst.num_resources, inst.d, int(inst.t)
-    if rung != "ilp":
-        search = teams.dp_search if rung == "dp" else teams.pivot_search
-
-        def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
-            sat, found, _ = search([access[u] for u in kept], p, d, t, replay=need_teams)
-            if found is None:
-                return sat, None
-            return sat, TeamSet(tuple(frozenset(kept[i] for i in team) for team in found))
-
-        return rung, core
-    configs: list[tuple[int, ...]] | None = None
-
-    def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
-        nonlocal configs
-        # The configurations depend only on the occupied classes and t,
-        # so one list, made when first needed, serves the whole search;
-        # the counts are the capacities, zero for emptied classes, whose
-        # configurations the search passes through with multiplicity 0.
-        if configs is None:
-            configs = teams.enumerate_configurations(inst, limits=limits)
-        vector = teams.ilp_feasible(configs, dict(zip(classes, counts)), d)[0]
-        if vector is None or not need_teams:
-            return vector is not None, None
-        # Each class's kept users, ascending; access masks are class
-        # masks on a normalized instance.
-        pools: dict[int, list[int]] = {}
-        for u in kept:
-            pools.setdefault(access[u], []).append(u)
-        return True, teams.reconstruct_teams(pools, vector)
-
-    return rung, core
+    return rung, teams.s0_core(inst, rung, limits, classes)
 
 
 def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
@@ -167,7 +132,7 @@ def _starved(
 
 def _solve_survivors(
     inst: Instance,
-    core: S0Core,
+    core: Callable,
     classes: dict[int, tuple[int, ...]],
     removed_mask: int,
     answers: dict[tuple[int, ...], bool] | None = None,
@@ -196,7 +161,7 @@ def _solve_survivors(
         sat, found = False, None
     else:
         kept.sort()
-        sat, found = core(kept, counts, need_teams)
+        sat, found, _ = core(kept, counts, need_teams)
     if answers is not None:
         answers[counts] = sat
     return sat, found

@@ -332,9 +332,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except (
-        RuntimeError, LookupError, TypeError, AttributeError, AssertionError, ArithmeticError
+        RuntimeError, LookupError, TypeError, AttributeError, AssertionError,
+        ArithmeticError, NameError, StopIteration, MemoryError,
     ) as err:
-        # A solver bug, RecursionError included: exit 1 would read as UNSAT.
+        # A solver bug, RecursionError and UnboundLocalError included:
+        # exit 1 would read as UNSAT.
         print(f"error: internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
 

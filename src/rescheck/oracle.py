@@ -171,33 +171,3 @@ def solve_rcp_bruteforce(
                 return Verdict(UNSAT, BlockerSet(frozenset(removed)), stats)
     witness = base.witness if inst.s == 0 else None
     return Verdict(SAT, witness, stats)
-
-
-def find_minimal_blocker(
-    inst: Instance, *, verdict: Verdict | None = None
-) -> BlockerSet | None:
-    """Inclusion-minimal blocker of size <= s, or None when resilient.
-
-    Starts from the given verdict's blocker, by default the guarded
-    oracle's minimum-cardinality one, and drops members one at a time
-    while the remainder still blocks, until no single removal can be
-    spared.
-    """
-    memo: dict[int, Verdict] = {}
-    if verdict is None:
-        verdict = solve_rcp_bruteforce(inst, s0_memo=memo)
-    if verdict.sat:
-        return None
-    assert isinstance(verdict.witness, BlockerSet)
-    blocker = set(verdict.witness.users)
-
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for u in sorted(blocker):
-            candidate = blocker - {u}
-            if not _survivors_verdict(inst, candidate, memo).sat:
-                blocker = candidate
-                shrunk = True
-                break
-    return BlockerSet(frozenset(blocker))

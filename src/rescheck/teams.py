@@ -1,20 +1,21 @@
 """Solvers for the zero-removal case: find d disjoint covering teams.
 
-Three exact routes with different parameter sweet spots:
+Three exact searches on bare data, with different parameter sweet spots:
 
-* dp_solve: dynamic programming over (user prefix, per-team remaining
+* dp_search: dynamic programming over (user prefix, per-team remaining
   demand and size), exponential only in d*|P|.
-* ilp_solve: enumerate team configurations (sets of neighborhood
-  classes) and search for a feasible multiplicity vector, exponential
-  only in |P|.
-* pivot_solve: branch on the users who reach a team's lowest missing
-  resource, at most n^(d*t) leaves whatever |P| is; each call stops
-  at PIVOT_MAX_NODES states.
+* ilp_feasible over enumerate_configurations: team configurations (sets
+  of neighborhood classes) and a feasible multiplicity vector within
+  class capacities, exponential only in |P|; reconstruct_teams draws
+  its teams from per-class pools of users.
+* pivot_search: branch on the users who reach a team's lowest missing
+  resource, at most n^(d*t) leaves whatever |P| is; each call stops at
+  PIVOT_MAX_NODES states.
 
-Each is a thin wrapper over a search on bare data that the blocker
-searches call directly: dp_search and pivot_search on access masks,
-ilp_feasible on a configuration list and class capacities, with
-reconstruct_teams drawing its teams from per-class pools of users.
+s0_core wraps the budget ladder rung's search as one s=0 core on a
+subset of the users, with its teams in the caller's numbering; the
+blocker searches call it at every node, and solve_s0, behind the dp and
+ilp routes, calls it once on every user.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
@@ -23,7 +24,7 @@ which is exactly the definition of the s=0 query failing.
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .policy import (
     DEFAULT_LIMITS,
@@ -41,21 +42,11 @@ from .policy import (
 )
 
 
-def _trivial_sat(stats: SolveStats, d: int) -> Verdict:
-    # Empty target: d empty teams cover it vacuously.
-    return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(d))), stats)
-
-
-def _unsat(stats: SolveStats) -> Verdict:
-    return Verdict(UNSAT, BlockerSet(frozenset()), stats)
-
-
 def dp_search(
     access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
 ) -> tuple[bool, list[set[int]] | None, int]:
-    """dp_solve's search on bare data: are there d disjoint teams of at
-    most t users, drawn from the users with these access masks, that each
-    reach all p resources?
+    """Are there d disjoint teams of at most t users, drawn from the
+    users with these access masks, that each reach all p resources?
 
     Returns the answer, the teams as sets of indices into access when
     replay is asked for and the answer is SAT (else None), and the
@@ -199,30 +190,6 @@ def dp_search(
         shapes.clear()
 
 
-def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Team existence via DP over user prefixes and residual demands.
-
-    dp_search answers the question and replays its memo for one team
-    assignment, which becomes the witness. The demand bit budget d*|P|
-    is checked up front.
-    """
-    require_normalized(inst)
-    stats = SolveStats(algorithm="dp")
-    p, d = inst.num_resources, inst.d
-    if d * p > limits.dp_bits:
-        raise BudgetError(
-            f"dp budget: d*|P| = {d * p} exceeds {limits.dp_bits} bits; "
-            "use ilp or raise --dp-bits"
-        )
-    if p == 0:
-        return _trivial_sat(stats, d)
-    stats.extras["dp_bits"] = d * p
-    sat, teams, stats.nodes = dp_search(inst.access, p, d, int(inst.t), replay=True)
-    if not sat:
-        return _unsat(stats)
-    return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)
-
-
 def enumerate_configurations(
     inst: Instance, *, limits: Limits = DEFAULT_LIMITS
 ) -> list[tuple[int, ...]]:
@@ -359,30 +326,6 @@ def reconstruct_teams(
     return TeamSet(tuple(teams))
 
 
-def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """Configuration-counting solver, fixed-parameter in |P|.
-
-    Whether d disjoint teams exist depends only on how many users each
-    neighborhood class holds, never on which users they are. Enumerate
-    the possible team shapes, then search for per-shape multiplicities
-    that sum to d without overdrawing any class.
-    """
-    require_normalized(inst)
-    stats = SolveStats(algorithm="ilp")
-    if inst.num_resources == 0:
-        return _trivial_sat(stats, inst.d)
-    configs = enumerate_configurations(inst, limits=limits)
-    classes = class_partition(inst)
-    capacities = {mask: len(users) for mask, users in classes.items() if mask}
-    vector, nodes = ilp_feasible(configs, capacities, inst.d)
-    stats.nodes = nodes
-    stats.extras["configurations"] = len(configs)
-    if vector is None:
-        return _unsat(stats)
-    witness = reconstruct_teams(classes, vector)
-    return Verdict(SAT, witness, stats)
-
-
 # States one pivot_search call may enter before it raises BudgetError.
 # Capped searches on a 2-vCPU x86 host took 1.4-2.1 us and 100-135 bytes
 # (the failed-state memo) per state, so a call stays within about 1 s and
@@ -394,9 +337,8 @@ PIVOT_MAX_NODES = 500_000
 def pivot_search(
     access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
 ) -> tuple[bool, list[set[int]] | None, int]:
-    """pivot_solve's search on bare data: are there d disjoint teams of
-    at most t users, drawn from the users with these access masks, that
-    each reach all p >= 1 resources?
+    """Are there d disjoint teams of at most t users, drawn from the
+    users with these access masks, that each reach all p >= 1 resources?
 
     Returns the answer, the teams as sets of indices into access when
     replay is asked for and the answer is SAT (else None), and the
@@ -462,18 +404,102 @@ def pivot_search(
     return True, teams, nodes
 
 
-def pivot_solve(inst: Instance) -> Verdict:
-    """Team search that branches on the lowest uncovered resource.
+def s0_core(
+    inst: Instance,
+    rung: str,
+    limits: Limits,
+    classes: dict[int, Sequence[int]],
+    extras: dict[str, int] | None = None,
+) -> Callable[[list[int], tuple[int, ...], bool], tuple[bool, TeamSet | None, int]]:
+    """The s=0 core of a budget ladder rung: "dp", "ilp" or "pivot".
 
-    pivot_search answers the question and keeps its picks for one team
-    assignment, which becomes the witness.
+    core(kept, counts, need_teams) answers the s=0 query on the users
+    kept, in ascending index: the answer, its teams in the caller's
+    numbering when need_teams and SAT (else None), and the search's node
+    count. dp and pivot search the kept users' masks. ilp takes counts
+    as the capacities of classes, in their mask order, and draws teams
+    from the lowest kept users of each class; its one configuration
+    list, made on the first call, serves every call.
+
+    A dp rung past dp_bits raises BudgetError. extras, when given, get
+    the rung's size: dp_bits, or the number of configurations.
+    """
+    access, p, d, t = inst.access, inst.num_resources, inst.d, int(inst.t)
+    if rung == "dp":
+        if d * p > limits.dp_bits:
+            raise BudgetError(
+                f"dp budget: d*|P| = {d * p} exceeds {limits.dp_bits} bits; "
+                "use ilp or raise --dp-bits"
+            )
+        if extras is not None:
+            extras["dp_bits"] = d * p
+    if rung != "ilp":
+        search = dp_search if rung == "dp" else pivot_search
+
+        def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
+            sat, found, nodes = search([access[u] for u in kept], p, d, t, replay=need_teams)
+            if found is None:
+                return sat, None, nodes
+            teams = TeamSet(tuple(frozenset(kept[i] for i in team) for team in found))
+            return sat, teams, nodes
+
+        return core
+    configs: list[tuple[int, ...]] | None = None
+
+    def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
+        nonlocal configs
+        if configs is None:
+            configs = enumerate_configurations(inst, limits=limits)
+            if extras is not None:
+                extras["configurations"] = len(configs)
+        vector, nodes = ilp_feasible(configs, dict(zip(classes, counts)), d)
+        if vector is None or not need_teams:
+            return vector is not None, None, nodes
+        # Each class's kept users, ascending; access masks are class
+        # masks on a normalized instance.
+        pools: dict[int, list[int]] = {}
+        for u in kept:
+            pools.setdefault(access[u], []).append(u)
+        return True, reconstruct_teams(pools, vector), nodes
+
+    return core
+
+
+def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """The s=0 verdict of a rung's core run once on every user.
+
+    The dp route passes all n users, those who reach nothing included,
+    and builds no class table; the ilp route passes every class at its
+    full size. With no target resource, d empty teams
+    answer SAT before any budget is read. The verdict's stats carry the
+    core's node count and, under extras, its rung's size.
     """
     require_normalized(inst)
-    stats = SolveStats(algorithm="pivot")
-    p, d = inst.num_resources, inst.d
-    if p == 0:
-        return _trivial_sat(stats, d)
-    sat, teams, stats.nodes = pivot_search(inst.access, p, d, int(inst.t), replay=True)
+    stats = SolveStats(algorithm=rung)
+    if inst.num_resources == 0:
+        # Empty target: d empty teams cover it vacuously.
+        return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
+    classes = class_partition(inst) if rung == "ilp" else {}
+    counts = tuple(len(users) for users in classes.values())
+    core = s0_core(inst, rung, limits, classes, stats.extras)
+    sat, found, stats.nodes = core(list(range(inst.n)), counts, True)
     if not sat:
-        return _unsat(stats)
-    return Verdict(SAT, TeamSet(tuple(frozenset(team) for team in teams)), stats)
+        return Verdict(UNSAT, BlockerSet(frozenset()), stats)
+    return Verdict(SAT, found, stats)
+
+
+def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """Team existence via DP over user prefixes and residual demands;
+    the demand bit budget d*|P| is checked up front."""
+    return solve_s0(inst, "dp", limits)
+
+
+def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """Configuration-counting solver, fixed-parameter in |P|.
+
+    Whether d disjoint teams exist depends only on how many users each
+    neighborhood class holds, never on which users they are. Enumerate
+    the possible team shapes, then search for per-shape multiplicities
+    that sum to d without overdrawing any class.
+    """
+    return solve_s0(inst, "ilp", limits)

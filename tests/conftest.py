@@ -8,7 +8,15 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from rescheck import INF, Instance
+from rescheck import (
+    INF,
+    BlockerSet,
+    Instance,
+    Verdict,
+    restrict,
+    solve_rcp_bruteforce,
+    solve_s0_bruteforce,
+)
 
 
 def mask(resources) -> int:
@@ -62,3 +70,35 @@ def instances(draw, max_n=6, max_p=4, max_s=2, max_d=3):
     d = draw(st.integers(1, max_d))
     t = draw(st.sampled_from([1, 2, 3, INF]))
     return Instance(access=access, num_resources=m, target=target, s=s, d=d, t=t)
+
+
+def find_minimal_blocker(
+    inst: Instance, *, verdict: Verdict | None = None
+) -> BlockerSet | None:
+    """Inclusion-minimal blocker of size <= s, or None when resilient.
+
+    Starts from the given verdict's blocker, by default the guarded
+    oracle's minimum-cardinality one, and drops members one at a time
+    while the remainder still blocks, until no single removal can be
+    spared.
+    """
+    if verdict is None:
+        verdict = solve_rcp_bruteforce(inst)
+    if verdict.sat:
+        return None
+    assert isinstance(verdict.witness, BlockerSet)
+    blocker = set(verdict.witness.users)
+
+    def blocks(removed: set[int]) -> bool:
+        survivors = [u for u in range(inst.n) if u not in removed]
+        return not solve_s0_bruteforce(restrict(inst, survivors), user_limit=None).sat
+
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for u in sorted(blocker):
+            if blocks(blocker - {u}):
+                blocker.discard(u)
+                shrunk = True
+                break
+    return BlockerSet(frozenset(blocker))

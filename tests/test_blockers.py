@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import rescheck.blockers
 import rescheck.policy
 import rescheck.teams
-from conftest import instances, norm
+from conftest import find_minimal_blocker, instances, norm
 from rescheck import (
     DEFAULT_LIMITS,
     INF,
@@ -21,17 +21,18 @@ from rescheck import (
     Instance,
     Limits,
     PreconditionError,
+    SAT,
     STRATEGIES,
+    SolveStats,
     TeamSet,
+    Verdict,
     branch_solve,
     class_partition,
     dp_solve,
     emit_verdict,
     fastpath_d1_tinf,
-    find_minimal_blocker,
     ilp_solve,
     normalize,
-    pivot_solve,
     reduced_solve,
     restrict,
     solve,
@@ -109,7 +110,6 @@ class TestBranch:
             "dp_search",
             "ilp_solve",
             "ilp_feasible",
-            "pivot_solve",
             "pivot_search",
         )
         x = norm([[0, 1], [0, 1], [1]], p=2, s=1, d=2, t=2)
@@ -483,33 +483,33 @@ def test_searches_agree_beyond_the_oracle_guard(y):
 
 @settings(max_examples=400, deadline=None)
 @given(instances(max_n=7, max_p=3, max_d=3), st.lists(st.integers(0, 6), unique=True))
-def test_supply_screen_and_answer_cores_match_the_solvers(x, removals):
+def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
     # the screen only rejects survivor sets the oracle rejects, and each
-    # rung's core agrees with its Verdict solver on the kept users: the
-    # same answer, and when asked for teams, the same teams in the
+    # rung's core answers the survivors as the oracle does, the same on
+    # the kept users as on all survivors: the same answer and, when
+    # asked for, the same teams, drawn from the kept users and in the
     # caller's numbering
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
     classes = _candidates(y)
     kept, counts = _survivors(classes, removed_mask, y.d)
     kept.sort()
-    sub = restrict(y, kept)
+    survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
+    # every survivor of each class, uncapped, in the classes' order
+    members = class_partition(y)
+    uncapped = tuple(
+        sum(not removed_mask >> u & 1 for u in members[mask]) for mask in classes
+    )
+    want = solve_s0_bruteforce(restrict(y, survivors)).sat
     if _starved(classes, counts, y.target, y.d):
-        survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
-        assert not solve_s0_bruteforce(restrict(y, survivors)).sat
-    solvers = {
-        "dp": dp_solve,
-        "ilp": ilp_solve,
-        "pivot": lambda sub, limits: pivot_solve(sub),
-    }
-    for rung, solver in solvers.items():
-        name, core = _pick_s0(y, RUNGS[rung], classes)
+        assert not want
+    for rung, limits in RUNGS.items():
+        name, core = _pick_s0(y, limits, classes)
         assert name == rung
-        want = solver(sub, limits=RUNGS[rung])
-        assert core(kept, counts, False) == (want.sat, None)
-        teams = None
-        if want.sat:
-            teams = TeamSet(
-                tuple(frozenset(kept[i] for i in team) for team in want.witness.teams)
-            )
-        assert core(kept, counts, True) == (want.sat, teams)
+        sat, found, _ = core(kept, counts, True)
+        assert sat == want
+        assert core(kept, counts, False)[:2] == (sat, None)
+        assert core(survivors, uncapped, True)[:2] == (sat, found)
+        if sat:
+            assert set().union(*found.teams) <= set(kept)
+            assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))

@@ -84,7 +84,11 @@ class TestSolve:
         assert main(["solve", path, "--algorithm", "dp", "--dp-bits", "1"]) == EXIT_BUDGET
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [RecursionError, KeyError, TypeError, AssertionError])
+    @pytest.mark.parametrize(
+        "error",
+        [RecursionError, KeyError, TypeError, AssertionError, NameError,
+         UnboundLocalError, StopIteration, MemoryError],
+    )
     def test_solver_crash_exits_four_not_unsat(self, error, tmp_path, capsys, monkeypatch):
         # a solver bug that raises must not surface as exit 1, which
         # means UNSAT

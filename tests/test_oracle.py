@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instances, norm
+from conftest import find_minimal_blocker, instances, norm
 from rescheck import (
     INF,
     SAT,
@@ -20,7 +20,6 @@ from rescheck import (
     SolveStats,
     TeamSet,
     Verdict,
-    find_minimal_blocker,
     normalize,
     require_normalized,
     solve_rcp_bruteforce,

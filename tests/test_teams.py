@@ -22,13 +22,13 @@ from rescheck import (
     ilp_feasible,
     ilp_solve,
     normalize,
-    pivot_solve,
     reconstruct_teams,
     solve_s0_bruteforce,
     teams,
     verify_witness,
 )
 from rescheck.policy import restrict
+from rescheck.teams import solve_s0
 
 
 def _representatives(inst: Instance, users: list[int]) -> list[int]:
@@ -314,23 +314,23 @@ class TestPivot:
     def test_branches_on_the_lowest_missing_resource(self):
         # r0 is reached by users 1 and 2; user 1 leaves r1 to user 0
         x = norm([[1], [0], [0, 1]], p=2, d=2, t=2)
-        v = pivot_solve(x)
+        v = solve_s0(x, "pivot")
         assert v.witness.teams == (frozenset({0, 1}), frozenset({2}))
         assert verify_witness(x, v)
 
     def test_size_cap_is_tracked(self):
         x = norm([[0], [1]], p=2, d=1, t=1)
-        assert not pivot_solve(x).sat
+        assert not solve_s0(x, "pivot").sat
 
     def test_zero_resources_is_trivially_sat(self):
         x = Instance(access=(), num_resources=0, target=0, d=2, t=1)
-        assert pivot_solve(x).witness.teams == (frozenset(), frozenset())
+        assert solve_s0(x, "pivot").witness.teams == (frozenset(), frozenset())
 
     def test_a_resource_nobody_reaches_ends_every_branch(self):
         # five users each reach r0 and r1, none reaches r2: the root's
         # five children each have r2 left and no user to branch on
         x = norm([[0, 1]] * 5 + [[3]], p=4, d=1, t=4)
-        v = pivot_solve(x)
+        v = solve_s0(x, "pivot")
         assert not v.sat
         assert v.stats.nodes == 1 + 5
 
@@ -341,18 +341,18 @@ class TestPivot:
         # users 0 and 1 taken) is entered but not searched again, which
         # saves its one child: 14 states instead of 15
         x = norm([[0, 1], [0, 2], [2], [0]], p=3, d=2, t=3)
-        v = pivot_solve(x)
+        v = solve_s0(x, "pivot")
         assert not v.sat
         assert v.stats.nodes == 14
 
     def test_node_budget_is_enforced(self, monkeypatch):
         x = norm([[0], [1], [0, 1]], p=2, d=1, t=2)
         monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 3)
-        assert pivot_solve(x).sat
+        assert solve_s0(x, "pivot").sat
         assert teams.pivot_search(x.access, 2, 1, 2)[0]
         monkeypatch.setattr(teams, "PIVOT_MAX_NODES", 1)
         with pytest.raises(BudgetError, match="node budget"):
-            pivot_solve(x)
+            solve_s0(x, "pivot")
         with pytest.raises(BudgetError, match="node budget"):
             teams.pivot_search(x.access, 2, 1, 2)
 
@@ -368,10 +368,10 @@ class TestPivot:
         ids=["two-teams", "size-cap", "unreached-resource", "failed-states", "deep"],
     )
     def test_search_on_bare_masks_is_the_solvers_search(self, rows, p, d, t):
-        # with replay, the same teams and states as pivot_solve; without
-        # it, the same answer and states and no teams
+        # with replay, the same teams and states as solve_s0's pivot
+        # route; without it, the same answer and states and no teams
         x = norm(rows, p=p, d=d, t=t)
-        v = pivot_solve(x)
+        v = solve_s0(x, "pivot")
         sat, picked, nodes = teams.pivot_search(x.access, p, d, int(x.t), replay=True)
         assert (sat, nodes) == (v.sat, v.stats.nodes)
         found = None if picked is None else tuple(frozenset(team) for team in picked)
@@ -382,7 +382,16 @@ class TestPivot:
         # 1500 one-user teams: a path of 1500 picks, one state per team
         # start; the last pick completes the teams and enters no state
         x = norm([[0]] * 1500, p=1, d=1500, t=1)
-        v = pivot_solve(x)
+        v = solve_s0(x, "pivot")
         assert v.sat
         assert v.stats.nodes == 1500
         assert verify_witness(x, v)
+
+
+@pytest.mark.parametrize("rung", ["dp", "ilp"])
+def test_zero_resources_answer_before_any_budget(rung):
+    # d empty teams, with every budget at zero: neither route reads one
+    x = Instance(access=(0, 0), num_resources=0, target=0, d=2, t=1)
+    v = solve_s0(x, rung, Limits(dp_bits=0, max_classes=0, max_configs=0))
+    assert v.sat and v.witness.teams == (frozenset(), frozenset())
+    assert (v.stats.nodes, v.stats.extras) == (0, {})
