@@ -11,11 +11,16 @@ diagnostics and progress go to standard error.
 Budgets are flags with safe defaults, never environment variables:
 every algorithm here is exponential in something, and a run must fail
 loudly instead of hanging.
+
+``main(argv)`` may be called repeatedly in one process. Each call is
+independent and returns the exit code; the argument parser is built
+on the first call and reused by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -320,9 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than solving a typical instance;
+    # parse_args leaves it unchanged, so every main() call can share it.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as err:

@@ -103,15 +103,25 @@ def parse_instance_document(text: str) -> InstanceDocument:
     access: list[int] = []
     user_labels: list[str] = []
     seen_users: set[str] = set()
+    # Users share few distinct lists, so each is validated once. Only
+    # lists are keys (tuple("r0") == tuple(["r", "0"])), and only after
+    # _resource_mask accepted them, which also makes them hashable.
+    masks: dict[tuple[Any, ...], int] = {}
     for i, entry in enumerate(users):
-        field = f"users[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
-            _fail(field, "expected an object with a string 'id'")
+            _fail(f"users[{i}]", "expected an object with a string 'id'")
         uid = entry["id"]
         if uid in seen_users:
-            _fail(f"{field}.id", f"duplicate user id {uid!r}")
+            _fail(f"users[{i}].id", f"duplicate user id {uid!r}")
         seen_users.add(uid)
-        access.append(_resource_mask(entry.get("resources"), f"{field}.resources", res_index))
+        ids = entry.get("resources")
+        key = tuple(ids) if isinstance(ids, list) else None
+        try:
+            mask = masks[key]
+        except (KeyError, TypeError):  # unseen, or unhashable and so invalid
+            mask = _resource_mask(ids, f"users[{i}].resources", res_index)
+            masks[key] = mask
+        access.append(mask)
         user_labels.append(uid)
 
     policy = root.get("policy")

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rescheck
 from conftest import inst
-from rescheck import INF, Instance, emit_instance, normalize, solve, teams
+from rescheck import INF, Instance, cli, emit_instance, normalize, solve, teams
 from rescheck.blockers import STRATEGIES
 from rescheck.cli import (
     EXIT_BUDGET,
@@ -424,6 +429,78 @@ class TestVerify:
         verdict_path.write_text(capsys.readouterr().out, encoding="utf-8")
         assert main(["verify", resilient, "--verdict", str(verdict_path)]) == EXIT_ERROR
         assert "no witness" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main() builds its parser once per process; calls stay independent."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        # SAT at s = 0 with d = 2: the witness shows which call asked for it
+        x = inst([[0, 1], [0], [1], [0, 1]], p=2, s=0, d=2, t=2)
+        return write_instance(tmp_path / "pair.json", x)
+
+    @staticmethod
+    def fresh(argv, capsys):
+        cli._parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    def test_many_calls_build_one_parser(self, pair, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert main(["solve", pair]) == EXIT_SAT
+        with pytest.raises(SystemExit):
+            main(["solve"])
+        assert main(["generate", "random", "--seed", "1"]) == EXIT_SAT
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_no_state_carries_into_the_next_call(self, pair, capsys):
+        plain = ["solve", pair]
+        expected = self.fresh(plain, capsys)
+        assert json.loads(expected[1].out).keys() == {"version", "answer", "algorithm"}
+        assert main(
+            ["solve", pair, "--dp-bits", "0", "--algorithm", "branch", "--witness"]
+        ) == EXIT_SAT
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "branch+ilp"
+        assert (main(plain), capsys.readouterr()) == expected
+
+    def test_a_usage_error_leaves_the_next_call_working(self, pair, capsys):
+        expected = self.fresh(["solve", pair, "--stats"], capsys)
+        with pytest.raises(SystemExit) as err:
+            main(["solve", pair, "--max-classes", "many"])
+        assert err.value.code == EXIT_ERROR
+        assert "invalid int value" in capsys.readouterr().err
+        assert (main(["solve", pair, "--stats"]), capsys.readouterr()) == expected
+
+    def test_importing_builds_no_parser(self):
+        # a fresh interpreter: this one has imported and called main already
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import rescheck.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(rescheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 def test_library_and_cli_agree(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import norm
 from rescheck import (
@@ -25,6 +27,8 @@ from rescheck import (
     parse_verdict,
     solve_rcp_bruteforce,
 )
+from rescheck.cli import EXIT_ERROR, main
+from rescheck.serialize import _resource_mask
 
 MINIMAL = """
 {
@@ -127,6 +131,76 @@ class TestParseInstance:
     def test_non_object_top_level(self):
         with pytest.raises(InstanceFormatError, match="document"):
             parse_instance("[1, 2]")
+
+
+class TestSharedResourceLists:
+    """Users that carry equal resource lists are validated once per parse."""
+
+    def test_a_string_never_passes_as_an_equal_list(self):
+        # tuple("r0") == tuple(["r", "0"]): only lists may hit the memo
+        text = doc(
+            users=[
+                {"id": "alice", "resources": ["r", "0"]},
+                {"id": "bob", "resources": "r0"},
+            ],
+            resources=["r", "0", "r0"],
+        )
+        with pytest.raises(
+            InstanceFormatError, match=r"^users\[1\].resources: expected a list of resource ids$"
+        ):
+            parse_instance(text)
+
+    def test_an_unhashable_entry_is_a_format_error(self, tmp_path, capsys):
+        text = doc(users=[
+            {"id": "alice", "resources": ["db"]},
+            {"id": "bob", "resources": [{"id": "db"}]},
+        ])
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert str(err.value) == "users[1].resources[0]: unknown resource id {'id': 'db'}"
+        path = tmp_path / "x.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err.value}\n"
+
+    def test_a_repeated_invalid_list_names_its_first_carrier(self):
+        text = doc(users=[
+            {"id": "alice", "resources": ["db"]},
+            {"id": "bob", "resources": ["db", "mail"]},
+            {"id": "carol", "resources": ["db", "mail"]},
+        ])
+        with pytest.raises(
+            InstanceFormatError, match=r"^users\[1\].resources\[1\]: unknown resource id 'mail'$"
+        ):
+            parse_instance(text)
+
+    def test_each_parse_reads_its_own_resource_table(self):
+        users = [{"id": "alice", "resources": ["a"]}, {"id": "bob", "resources": ["a"]}]
+        first = parse_instance(doc(users=users, resources=["a", "b"], policy={
+            "P": ["a"], "s": 0, "d": 1, "t": 1}))
+        second = parse_instance(doc(users=users, resources=["b", "a"], policy={
+            "P": ["a"], "s": 0, "d": 1, "t": 1}))
+        assert first.access == (0b01, 0b01)
+        assert second.access == (0b10, 0b10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_mask_equals_the_validated_list(self, data):
+        p = data.draw(st.integers(1, 6))
+        labels = data.draw(st.permutations([f"r{j}" for j in range(p)]))
+        subsets = st.lists(st.sampled_from(labels), unique=True)
+        pool = data.draw(st.lists(subsets, min_size=1, max_size=4))
+        lists = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+        text = doc(
+            users=[{"id": f"u{i}", "resources": ids} for i, ids in enumerate(lists)],
+            resources=labels,
+            policy={"P": labels[:1], "s": 0, "d": 1, "t": 1},
+        )
+        index = {rid: j for j, rid in enumerate(labels)}
+        x = parse_instance(text)
+        assert x.access == tuple(_resource_mask(ids, "f", index) for ids in lists)
 
 
 class TestInstanceRoundTrip:
