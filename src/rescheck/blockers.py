@@ -9,12 +9,17 @@ the caller's numbering. Both searches read the classes from one table,
 _candidates, cut from class_partition. Before any core call, a supply
 screen sums the capped counts per resource: d disjoint covering teams
 need d distinct survivors who reach each resource, so a resource with
-fewer is UNSAT outright. The core is teams.s0_core of the rung the
-budget ladder picks, the same core that the dp and ilp routes run once
-on every user, and it runs on bare data at every node, with no
-sub-instance: the dp search or the pivot search on the kept users'
-masks, or the configuration search over one configuration list per
-search with the counts as capacities. Only the nodes that need teams
+fewer is UNSAT outright. branch_solve's nodes with no budget left also
+have a SAT screen, a swap: the parent's teams avoid every earlier
+removal, and the user removed last sits in exactly one of them. If a
+user who is neither removed nor in a team reaches every resource that
+team loses without it, swapping that user in gives d disjoint covering
+teams of at most t users, so the node is SAT with no core call. The core
+is teams.s0_core of the rung the budget ladder picks, the same core that
+the dp and ilp routes run once on every user, and it runs on bare data
+at every node, with no sub-instance: the dp search or the pivot search
+on the kept users' masks, or the configuration search over one
+configuration list per search with the counts as capacities. Only the nodes that need teams
 (branch's root and its nodes with budget left, and reduced's root at
 s=0) ask it for them. branch_solve picks removals from the team sets
 it finds; reduced_solve enumerates how many representatives to delete
@@ -130,6 +135,38 @@ def _starved(
     return reach[-1] != full
 
 
+def _swap_covers(
+    inst: Instance,
+    classes: dict[int, tuple[int, ...]],
+    teams: TeamSet,
+    u: int,
+    removed_mask: int,
+) -> bool:
+    # teams avoid every removal in removed_mask but u, who sits in one
+    # of them. That team without u misses the resources only u reached;
+    # a class reaching all of them, with a user neither removed nor in a
+    # team, gives the swap that restores d disjoint covering teams of at
+    # most t users. A False says nothing about the answer.
+    access = inst.access
+    lost = inst.target
+    taken = removed_mask
+    for team in teams.teams:
+        for w in team:
+            taken |= 1 << w
+        if u in team:
+            for w in team:
+                if w != u:
+                    lost &= ~access[w]
+    if not lost:
+        return True
+    for mask, users in classes.items():
+        if mask & lost == lost:
+            for v in users:
+                if not taken >> v & 1:
+                    return True
+    return False
+
+
 def _solve_survivors(
     inst: Instance,
     core: Callable,
@@ -152,7 +189,9 @@ def _solve_survivors(
     numbering, None when it gave none. answers, when given, maps count
     vectors, in mask order, to answers already found; a vector found
     there is answered without an inner call, and without teams, unless
-    need_teams.
+    need_teams. branch_solve answers some of its answer-only nodes
+    without calling this (see _swap_covers); their answers do not enter
+    answers.
     """
     kept, counts = _survivors(classes, removed_mask, inst.d)
     if answers is not None and not need_teams and counts in answers:
@@ -186,9 +225,15 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
 
     The core's teams, and with them the branching order, are the ones
     it would find on all survivors (see _solve_survivors). Nodes with
-    no budget left, the root apart, ask the core only for the answer,
-    cached by the capped per-class survivor counts across the whole
-    search.
+    no budget left, the root apart, need only the answer. The parent's
+    teams avoid every removal but the last, user u, who sits in exactly
+    one of them; a user outside every team and not removed who reaches
+    all that u's team loses without u takes u's place, and the teams
+    are again d disjoint covering teams of at most t users: SAT with no
+    core call. Otherwise the core is asked for the answer alone, cached
+    by the capped per-class survivor counts across the whole search.
+    Nodes that need teams always ask the core, so the witness and the
+    branching order are the core's alone.
     """
     require_normalized(inst)
     classes = _candidates(inst)
@@ -198,14 +243,22 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     outcomes: dict[int, Verdict | None] = {}
     answers: dict[tuple[int, ...], bool] = {}
 
-    def node(removed_mask: int, budget: int) -> Verdict | None:
+    def node(
+        removed_mask: int, budget: int, parent: TeamSet | None, u: int
+    ) -> Verdict | None:
         # None means: no blocker extends this removal set within budget.
+        # parent holds the teams found before removing u, None at the root.
         stats.nodes += 1
         if removed_mask in outcomes:
             return outcomes[removed_mask]
         # Teams to branch on, or at the root the s = 0 witness.
-        need_teams = budget > 0 or not removed_mask
-        sat, found = _solve_survivors(inst, core, classes, removed_mask, answers, need_teams)
+        need_teams = parent is None or budget > 0
+        if not need_teams and _swap_covers(inst, classes, parent, u, removed_mask):
+            sat, found = True, None
+        else:
+            sat, found = _solve_survivors(
+                inst, core, classes, removed_mask, answers, need_teams
+            )
         if not removed_mask:
             root_teams[0] = found
         result: Verdict | None = None
@@ -214,14 +267,14 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         elif budget > 0:
             if found is None:
                 raise RuntimeError("inner s=0 core returned SAT without teams")
-            for u in sorted(set().union(*found.teams)):
-                result = node(removed_mask | (1 << u), budget - 1)
+            for w in sorted(set().union(*found.teams)):
+                result = node(removed_mask | (1 << w), budget - 1, found, w)
                 if result is not None:
                     break
         outcomes[removed_mask] = result
         return result
 
-    found = node(0, inst.s)
+    found = node(0, inst.s, None, -1)
     if found is not None:
         return found
     witness = root_teams[0] if inst.s == 0 else None

@@ -23,7 +23,6 @@ which is exactly the definition of the s=0 query failing.
 
 from __future__ import annotations
 
-import sys
 from typing import Callable, Iterator, Sequence
 
 from .policy import (
@@ -68,9 +67,9 @@ def dp_search(
     need distinct such users. Both tests reduce to the fewest leading
     users a state needs, computed once per state. The replay walks the
     unsorted states and only follows those whose value is True, so
-    neither the sorted key nor the prune changes the teams. The caches
-    are cleared on return; the recursive closure would otherwise keep
-    them alive until the cyclic garbage collector runs.
+    neither the sorted key nor the prune changes the teams. The search
+    runs on an explicit stack, so its depth, up to n, never meets the
+    recursion limit.
     """
     n = len(access)
     full = (1 << p) - 1
@@ -137,57 +136,64 @@ def dp_search(
         return canonical, least
 
     def value(i: int, state: int) -> bool:
-        if state & initial == 0:
-            return True
-        if i == 0:
-            return False
-        known = shapes.get(state)
-        if known is None:
-            known = shapes[state] = shape(state)
-        canonical, least = known
-        key = canonical << index_bits | i
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
-        if i >= least:
-            result = value(i - 1, state)
-            if not result:
-                for _, child in moves(i, state):
-                    if value(i - 1, child):
-                        result = True
+        # The recursion "skip user i-1, else place it in the first team
+        # that takes it" on an explicit stack of open states, each held
+        # as [i, state, memo key, its placements]; the placements start
+        # once skipping the user has failed.
+        stack: list[list] = []
+        while True:
+            if state & initial == 0:
+                result = True
+            elif i == 0:
+                result = False
+            else:
+                known = shapes.get(state)
+                if known is None:
+                    known = shapes[state] = shape(state)
+                canonical, least = known
+                key = canonical << index_bits | i
+                result = memo.get(key)
+                if result is None:
+                    if i >= least:
+                        stack.append([i, state, key, None])
+                        i -= 1
+                        continue
+                    result = memo[key] = False
+            # result answers (i, state); settle the open states it decides.
+            while stack:
+                top = stack[-1]
+                if not result:
+                    if top[3] is None:
+                        top[3] = moves(top[0], top[1])
+                    move = next(top[3], None)
+                    if move is not None:
+                        i, state = top[0] - 1, move[1]
                         break
-        memo[key] = result
-        return result
+                memo[top[2]] = result
+                stack.pop()
+            else:
+                return result
 
-    old_limit = sys.getrecursionlimit()
-    if n + 100 > old_limit:
-        sys.setrecursionlimit(n + 200)
-    try:
-        sat = value(n, initial)
-        if not sat or not replay:
-            return sat, None, len(memo)
+    sat = value(n, initial)
+    if not sat or not replay:
+        return sat, None, len(memo)
 
-        # Replay the memo to pull out one concrete team assignment.
-        teams: list[set[int]] = [set() for _ in range(d)]
-        i, state = n, initial
-        while state & initial:
-            if value(i - 1, state):
+    # Replay the memo to pull out one concrete team assignment.
+    teams: list[set[int]] = [set() for _ in range(d)]
+    i, state = n, initial
+    while state & initial:
+        if value(i - 1, state):
+            i -= 1
+            continue
+        for j, child in moves(i, state):
+            if value(i - 1, child):
+                teams[j].add(i - 1)
+                state = child
                 i -= 1
-                continue
-            for j, child in moves(i, state):
-                if value(i - 1, child):
-                    teams[j].add(i - 1)
-                    state = child
-                    i -= 1
-                    break
-            else:  # pragma: no cover - would mean the memo is inconsistent
-                raise RuntimeError("dp witness replay failed")
-        return True, teams, len(memo)
-    finally:
-        sys.setrecursionlimit(old_limit)
-        memo.clear()
-        shapes.clear()
+                break
+        else:  # pragma: no cover - would mean the memo is inconsistent
+            raise RuntimeError("dp witness replay failed")
+    return True, teams, len(memo)
 
 
 def enumerate_configurations(

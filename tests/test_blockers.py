@@ -123,6 +123,43 @@ class TestBranch:
             "pivot": ["pivot_search"],
         }[rung]
 
+    @pytest.mark.parametrize("rung", ["dp", "pivot"])
+    def test_swapped_member_answers_the_leaves(self, rung, monkeypatch):
+        # the root's teams are {0, 1} and {2}; every removal drops its
+        # class below d = 2 survivors, so the counts cache cannot answer
+        # a child, but user 3 reaches what each team loses and refills
+        # it: only the root asks the rung's core
+        calls = counting(monkeypatch, "dp_search", "pivot_search")
+        x = norm([[0], [1], [0, 1], [0, 1]], p=2, s=1, d=2, t=2)
+        v = branch_solve(x, limits=RUNGS[rung])
+        assert v.stats.algorithm == f"branch+{rung}"
+        assert v.sat
+        assert v.stats.nodes == 4
+        assert calls == [f"{rung}_search"]
+
+    @pytest.mark.parametrize("rung", RUNGS)
+    @pytest.mark.parametrize(
+        "rows, p, s, d, t, blocker",
+        [
+            # the only user outside the team is removed already
+            ([[0], [0]], 1, 2, 1, 1, {0, 1}),
+            # the only other user is in the other team
+            ([[0], [0]], 1, 1, 2, 1, {0}),
+            # user 2 is free but does not reach r1, which team {0, 1} loses
+            ([[0], [1], [0]], 2, 1, 1, 2, {1}),
+            # user 1 reaches r0 but not r1, both of which user 0 alone held
+            ([[0, 1], [0]], 2, 1, 1, 2, {0}),
+        ],
+    )
+    def test_swap_needs_a_free_user_reaching_every_lost_resource(
+        self, rung, rows, p, s, d, t, blocker
+    ):
+        x = norm(rows, p=p, s=s, d=d, t=t)
+        v = branch_solve(x, limits=RUNGS[rung])
+        assert not v.sat
+        assert v.witness == BlockerSet(frozenset(blocker))
+        assert not solve_rcp_bruteforce(x).sat
+
     def test_node_count_within_branching_bound(self):
         x = norm([[0, 1], [0], [1], [0, 1]], p=2, s=2, d=2, t=2)
         v = branch_solve(x)
@@ -513,3 +550,24 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
         if sat:
             assert set().union(*found.teams) <= set(kept)
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))
+
+
+def _no_swap(*args, **kwargs):
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_n=7, max_p=3, max_s=2, max_d=3))
+def test_swap_screen_keeps_every_verdict(x):
+    # branch answers as it does with the swap screen finding nothing, on
+    # every rung, down to the witness, node count and extras, and as the
+    # oracle does
+    y = normalize(x)
+    want = solve_rcp_bruteforce(y).sat
+    for limits in RUNGS.values():
+        v = branch_solve(y, limits=limits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rescheck.blockers, "_swap_covers", _no_swap)
+            plain = branch_solve(y, limits=limits)
+        assert (v.answer, v.witness, v.stats) == (plain.answer, plain.witness, plain.stats)
+        assert v.sat == want

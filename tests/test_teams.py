@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from rescheck import (
     BudgetError,
     Instance,
     Limits,
+    TeamSet,
     class_partition,
     dp_solve,
     enumerate_configurations,
@@ -29,6 +31,10 @@ from rescheck import (
 )
 from rescheck.policy import restrict
 from rescheck.teams import solve_s0
+
+
+def _no_limit_change(limit: int) -> None:
+    raise AssertionError("the recursion limit was changed")
 
 
 def _representatives(inst: Instance, users: list[int]) -> list[int]:
@@ -131,8 +137,8 @@ class TestDp:
         assert v.stats.nodes == 2 * x.n - 1
 
     def test_memo_is_released_on_return(self):
-        # The recursive closure is a reference cycle; with the cyclic
-        # collector off, only clearing the caches frees them on return.
+        # With the cyclic collector off, nothing may hold the caches in
+        # a reference cycle past the return.
         access = (
             1, 9, 2, 4, 0, 2, 8, 20, 0, 0, 17, 20, 2, 0, 1, 3, 17, 16, 1, 4,
             9, 2, 8, 1, 9, 10, 9, 0, 5, 8, 1, 4, 10, 16, 0, 16, 16, 2, 17, 16,
@@ -155,6 +161,30 @@ class TestDp:
         assert v.stats.nodes > 10_000
         # what remains is the interpreter's free lists, not the memo
         assert after - before < (peak - before) / 10
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self, monkeypatch):
+        # 3000 users, two of them the only ones who reach r1: under them
+        # the search skips down the whole prefix, 2998 states deep, on a
+        # recursion limit a little above the caller's own depth
+        x = Instance(
+            access=(1,) * 2998 + (2, 2), num_resources=2, target=3, d=2, t=2
+        )
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            monkeypatch.setattr(sys, "setrecursionlimit", _no_limit_change)
+            v = dp_solve(x)
+            limit = sys.getrecursionlimit()
+        finally:
+            monkeypatch.undo()
+            sys.setrecursionlimit(old_limit)
+        assert limit == depth + 50
+        assert v.sat
+        assert v.witness == TeamSet((frozenset({1, 2999}), frozenset({0, 2998})))
+        assert verify_witness(x, v)
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_survivors())
