@@ -13,8 +13,9 @@ every algorithm here is exponential in something, and a run must fail
 loudly instead of hanging.
 
 ``main(argv)`` may be called repeatedly in one process. Each call is
-independent and returns the exit code; the argument parser is built
-on the first call and reused by the later ones.
+independent and returns the exit code, usage errors and ``--help``
+included; the argument parser is built on the first call and reused by
+the later ones.
 """
 
 from __future__ import annotations
@@ -333,7 +334,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 after a usage error and 0 after --help.
+        return err.code
     try:
         return args.func(args)
     except BudgetError as err:

@@ -65,135 +65,152 @@ def dp_search(
     resource is missed by more teams than there are users among the
     first i that reach it: a user joins at most one team, so those teams
     need distinct such users. Both tests reduce to the fewest leading
-    users a state needs, computed once per state. The replay walks the
-    unsorted states and only follows those whose value is True, so
-    neither the sorted key nor the prune changes the teams. The search
-    runs on an explicit stack, so its depth, up to n, never meets the
-    recursion limit.
+    users a state needs, its floor, computed once per state from level
+    masks: level k holds the resources missed by more than k teams, so
+    a resource at level k needs k+1 distinct reachers, and the floor is
+    the largest, over the levels, of the most leading users any
+    resource of the level needs for that. Each level reads this from a
+    table keyed by resource mask, filled as states turn masks up.
+
+    The search runs on an explicit stack of open states, each trying
+    "skip its user" first and then the teams that can take the user, in
+    team order, so its depth, up to n, never meets the recursion limit.
+    The first state with no demand left ends the search. Every state
+    answered before it is False, so a replay of the memo from the root,
+    taking at each state the first of those children whose answer is
+    True, would walk exactly the open states: each records the team its
+    user joins in its current child, and the teams are read off the
+    stack. The open states count as memoized, True.
     """
     n = len(access)
     full = (1 << p) - 1
     cap_bits = t.bit_length()
     size_mask = (1 << cap_bits) - 1
     width = p + cap_bits
+    field_mask = (1 << width) - 1
+    shifts = range((d - 1) * width, -1, -width)  # team fields, last team first
     # The root state: every team misses all of P and has no member. Its
     # set bits are the demand bits of every state.
     initial = 0
-    for j in range(d):
-        initial |= full << (j * width)
+    for shift in shifts:
+        initial |= full << shift
 
-    # reached[k][r]: how many leading users it takes for k+1 of them to
-    # reach resource r, n+1 when fewer do.
-    reached = [[n + 1] * p for _ in range(d)]
-    count = [0] * p
-    unfilled = d * p
+    # floors[k][mask], for a mask of resources each reached by more than
+    # k users: how many leading users it takes for k+1 of them to reach
+    # every resource of mask. levels[k] holds the resources reached by
+    # more than k of the users seen so far; a user's resources climb the
+    # levels they already hold and settle on the first one they do not,
+    # which fills the one-resource masks. Other masks are filled as
+    # states turn them up.
+    floors: list[dict[int, int]] = [{} for _ in range(d)]
+    levels = [0] * d
     for i, nbr in enumerate(access, 1):
-        for r in range(p):
-            if nbr >> r & 1 and count[r] < d:
-                reached[count[r]][r] = i
-                count[r] += 1
-                unfilled -= 1
-        if not unfilled:
+        lift = nbr & full
+        for k, table in enumerate(floors):
+            held = levels[k]
+            new = lift & ~held
+            levels[k] = held | new
+            while new:
+                low = new & -new
+                table[low] = i
+                new ^= low
+            lift &= held
+            if not lift:
+                break
+        if d and levels[-1] == full:
             break
-
-    memo: dict[int, bool] = {}
-    shapes: dict[int, tuple[int, int]] = {}
+    uppers = range(d - 1, 0, -1)
     index_bits = n.bit_length()
-    field_mask = (1 << width) - 1
-
-    def moves(i: int, state: int):
-        # Children of (i, state) that place user i-1 into a team.
-        nbr = access[i - 1]
-        for j in range(d):
-            shift = j * width
-            demand = state >> shift & full
-            if not demand & nbr:
-                continue
-            size = state >> (shift + p) & size_mask
-            if size >= t:
-                continue
-            yield j, state - (demand << shift) + ((demand & ~nbr) << shift) + (
-                1 << (shift + p)
-            )
 
     def shape(state: int) -> tuple[int, int]:
         # The state with its team fields sorted, which poses the same
-        # question because teams are interchangeable, and the fewest
-        # leading users that can still serve it, n+1 when none can.
+        # question because teams are interchangeable, shifted clear of
+        # the prefix length, and its floor: the fewest leading users
+        # that can still serve it, n+1 when none can.
         canonical = least = 0
-        need = [0] * p  # teams still missing each resource
-        for field in sorted([state >> (j * width) & field_mask for j in range(d)]):
+        missed = [0] * d  # missed[k]: resources missed by more than k teams
+        for field in sorted([state >> shift & field_mask for shift in shifts]):
             canonical = canonical << width | field
             demand = field & full
-            if not demand:
-                continue
-            if field >> p >= t:
-                least = n + 1
-            for r in range(p):
-                if demand >> r & 1:
-                    need[r] += 1
-                    least = max(least, reached[need[r] - 1][r])
-        return canonical, least
+            if demand:
+                if field >> p >= t:
+                    least = n + 1
+                for k in uppers:
+                    missed[k] |= demand & missed[k - 1]
+                missed[0] |= demand
+        for table, held, mask in zip(floors, levels, missed):
+            if not mask:
+                break
+            floor = table.get(mask)
+            if floor is None:
+                if mask & ~held:
+                    floor = n + 1  # too few users reach some resource
+                else:
+                    floor, rest = 0, mask
+                    while rest:
+                        low = rest & -rest
+                        floor = max(floor, table[low])
+                        rest ^= low
+                table[mask] = floor
+            if floor > least:
+                least = floor
+        return canonical << index_bits, least
 
-    def value(i: int, state: int) -> bool:
-        # The recursion "skip user i-1, else place it in the first team
-        # that takes it" on an explicit stack of open states, each held
-        # as [i, state, memo key, its placements]; the placements start
-        # once skipping the user has failed.
-        stack: list[list] = []
-        while True:
-            if state & initial == 0:
-                result = True
-            elif i == 0:
-                result = False
-            else:
-                known = shapes.get(state)
-                if known is None:
-                    known = shapes[state] = shape(state)
-                canonical, least = known
-                key = canonical << index_bits | i
-                result = memo.get(key)
-                if result is None:
-                    if i >= least:
-                        stack.append([i, state, key, None])
-                        i -= 1
-                        continue
-                    result = memo[key] = False
-            # result answers (i, state); settle the open states it decides.
-            while stack:
-                top = stack[-1]
-                if not result:
-                    if top[3] is None:
-                        top[3] = moves(top[0], top[1])
-                    move = next(top[3], None)
-                    if move is not None:
-                        i, state = top[0] - 1, move[1]
-                        break
-                memo[top[2]] = result
-                stack.pop()
-            else:
-                return result
+    def placements(i: int, state: int) -> list[tuple[int, int]]:
+        # The children of (i, state) that place user i-1 into a team, as
+        # (team, child) with the first team last, to be popped in order.
+        nbr = access[i - 1]
+        found = []
+        j = d
+        for shift in shifts:
+            j -= 1
+            helps = state >> shift & nbr & full
+            if helps and state >> (shift + p) & size_mask < t:
+                found.append((j, state - (helps << shift) + (1 << (shift + p))))
+        return found
 
-    sat = value(n, initial)
-    if not sat or not replay:
-        return sat, None, len(memo)
-
-    # Replay the memo to pull out one concrete team assignment.
-    teams: list[set[int]] = [set() for _ in range(d)]
+    failed: set[int] = set()  # memo keys of the states answered False
+    shapes: dict[int, tuple[int, int]] = {}
+    # Open states as [i, state, memo key, placements left, team]: the
+    # placements start once skipping user i-1 has failed, and team is
+    # the one user i-1 joins in the current child, -1 while skipping.
+    stack: list[list] = []
     i, state = n, initial
     while state & initial:
-        if value(i - 1, state):
-            i -= 1
-            continue
-        for j, child in moves(i, state):
-            if value(i - 1, child):
-                teams[j].add(i - 1)
-                state = child
-                i -= 1
+        if i:
+            known = shapes.get(state)
+            if known is None:
+                known = shapes[state] = shape(state)
+            canonical, least = known
+            key = canonical | i
+            if key not in failed:
+                if i >= least:
+                    stack.append([i, state, key, None, -1])
+                    i -= 1
+                    continue
+                failed.add(key)
+        # (i, state) is False; back up to the deepest open state with a
+        # child left to try.
+        while stack:
+            top = stack[-1]
+            left = top[3]
+            if left is None:
+                left = top[3] = placements(top[0], top[1])
+            if left:
+                top[4], state = left.pop()
+                i = top[0] - 1
                 break
-        else:  # pragma: no cover - would mean the memo is inconsistent
-            raise RuntimeError("dp witness replay failed")
-    return True, teams, len(memo)
+            failed.add(top[2])
+            stack.pop()
+        else:
+            return False, None, len(failed)
+    if not replay:
+        return True, None, len(failed) + len(stack)
+    teams: list[set[int]] = [set() for _ in range(d)]
+    for frame in stack:
+        if frame[4] >= 0:
+            teams[frame[4]].add(frame[0] - 1)
+    return True, teams, len(failed) + len(stack)
 
 
 def enumerate_configurations(

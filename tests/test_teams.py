@@ -53,6 +53,137 @@ def _mapped(witness, kept: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(kept[i] for i in team) for team in witness.teams)
 
 
+def _replay_dp_search(access, p, d, t, *, replay=False):
+    # The search that dp_search replaced, kept as the reference for its
+    # answers, teams and state counts: it finds the answer, then walks
+    # the memo again from the root to pull out the teams, and computes
+    # each state's floor resource by resource.
+    n = len(access)
+    full = (1 << p) - 1
+    cap_bits = t.bit_length()
+    size_mask = (1 << cap_bits) - 1
+    width = p + cap_bits
+    initial = 0
+    for j in range(d):
+        initial |= full << (j * width)
+
+    # reached[k][r]: how many leading users it takes for k+1 of them to
+    # reach resource r, n+1 when fewer do.
+    reached = [[n + 1] * p for _ in range(d)]
+    count = [0] * p
+    unfilled = d * p
+    for i, nbr in enumerate(access, 1):
+        for r in range(p):
+            if nbr >> r & 1 and count[r] < d:
+                reached[count[r]][r] = i
+                count[r] += 1
+                unfilled -= 1
+        if not unfilled:
+            break
+
+    memo = {}
+    shapes = {}
+    index_bits = n.bit_length()
+    field_mask = (1 << width) - 1
+
+    def moves(i, state):
+        nbr = access[i - 1]
+        for j in range(d):
+            shift = j * width
+            demand = state >> shift & full
+            if not demand & nbr:
+                continue
+            size = state >> (shift + p) & size_mask
+            if size >= t:
+                continue
+            yield j, state - (demand << shift) + ((demand & ~nbr) << shift) + (
+                1 << (shift + p)
+            )
+
+    def shape(state):
+        canonical = least = 0
+        need = [0] * p
+        for field in sorted([state >> (j * width) & field_mask for j in range(d)]):
+            canonical = canonical << width | field
+            demand = field & full
+            if not demand:
+                continue
+            if field >> p >= t:
+                least = n + 1
+            for r in range(p):
+                if demand >> r & 1:
+                    need[r] += 1
+                    least = max(least, reached[need[r] - 1][r])
+        return canonical, least
+
+    def value(i, state):
+        stack = []
+        while True:
+            if state & initial == 0:
+                result = True
+            elif i == 0:
+                result = False
+            else:
+                known = shapes.get(state)
+                if known is None:
+                    known = shapes[state] = shape(state)
+                canonical, least = known
+                key = canonical << index_bits | i
+                result = memo.get(key)
+                if result is None:
+                    if i >= least:
+                        stack.append([i, state, key, None])
+                        i -= 1
+                        continue
+                    result = memo[key] = False
+            while stack:
+                top = stack[-1]
+                if not result:
+                    if top[3] is None:
+                        top[3] = moves(top[0], top[1])
+                    move = next(top[3], None)
+                    if move is not None:
+                        i, state = top[0] - 1, move[1]
+                        break
+                memo[top[2]] = result
+                stack.pop()
+            else:
+                return result
+
+    sat = value(n, initial)
+    if not sat or not replay:
+        return sat, None, len(memo)
+    teams_found = [set() for _ in range(d)]
+    i, state = n, initial
+    while state & initial:
+        if value(i - 1, state):
+            i -= 1
+            continue
+        for j, child in moves(i, state):
+            if value(i - 1, child):
+                teams_found[j].add(i - 1)
+                state = child
+                i -= 1
+                break
+        else:
+            raise RuntimeError("dp witness replay failed")
+    return True, teams_found, len(memo)
+
+
+@st.composite
+def dp_questions(draw):
+    """Bare dp_search arguments: up to 14 users whose masks hold a few
+    resources (sparse) or miss a few (dense), p <= 5, d <= 3, 1 <= t <= p."""
+    p = draw(st.integers(1, 5))
+    full = (1 << p) - 1
+    few = st.lists(st.integers(0, p - 1), max_size=2).map(
+        lambda rs: sum(1 << r for r in set(rs))
+    )
+    masks = draw(st.sampled_from([few, few.map(lambda m: full & ~m), st.integers(0, full)]))
+    access = draw(st.lists(masks, max_size=14))
+    return access, p, draw(st.integers(1, 3)), draw(st.integers(1, p))
+
+
 @st.composite
 def crowded_survivors(draw):
     """Up to 40 users drawn from a few neighborhood classes, so most
@@ -115,6 +246,45 @@ class TestDp:
         assert v.sat == solve_s0_bruteforce(y).sat
         if v.sat:
             assert verify_witness(y, v)
+
+    @settings(max_examples=400, deadline=None)
+    @given(dp_questions())
+    def test_same_answer_teams_and_states_as_the_replay_search(self, question):
+        for replay in (False, True):
+            assert teams.dp_search(*question, replay=replay) == _replay_dp_search(
+                *question, replay=replay
+            )
+
+    def test_teams_come_from_each_users_current_placement(self):
+        # user 2 joins team 0; user 1 fails in team 0, where it leaves
+        # team 1 without r1, and succeeds in team 1; user 0 ends team 0
+        assert teams.dp_search([0b01, 0b11, 0b10], 2, 2, 2, replay=True) == (
+            True, [{0, 2}, {1}], 6
+        )
+
+    def test_prune_a_resource_all_three_teams_miss_needs_three_reachers(self):
+        # r1 is reached by users 0 and 1 alone: at the root all three teams
+        # miss it, so it needs a third reacher, and the root is dead. The
+        # first two levels pass the root: each resource has two reachers.
+        x = norm([[0, 1]] * 2 + [[0]] * 8, p=2, d=3, t=2)
+        v = dp_solve(x)
+        assert not v.sat
+        assert not solve_s0_bruteforce(x).sat
+        assert v.stats.nodes == 1
+
+    def test_prune_on_the_second_level_alone(self):
+        # user 0 reaches everything, so the first level never cuts, and
+        # with p = t = 2 every member covers a resource its team missed,
+        # so no team is full while it misses one. r1's second reacher is
+        # user 5: skipping it leaves both teams missing r1 with one
+        # reacher left, and such states are cut on the second level. On
+        # the first level alone the search enters 20 states.
+        x = norm([[0, 1], [0], [0], [0], [0], [1], [0]], p=2, d=2, t=2)
+        v = dp_solve(x)
+        assert v.sat
+        assert solve_s0_bruteforce(x).sat
+        assert verify_witness(x, v)
+        assert v.stats.nodes == 9
 
     def test_prune_too_few_users_reach_a_resource(self):
         # both teams miss r1, which only user 0 reaches: the root state is
