@@ -16,16 +16,17 @@ user who is neither removed nor in a team reaches every resource that
 team loses without it, swapping that user in gives d disjoint covering
 teams of at most t users, so the node is SAT with no core call. The core
 is teams.s0_core of the rung the budget ladder picks, the same core that
-the dp and ilp routes run once on every user, and it runs on bare data
-at every node, with no sub-instance: the dp search or the pivot search
-on the kept users' masks, or the configuration search over one
-configuration list per search with the counts as capacities. Only the nodes that need teams
-(branch's root and its nodes with budget left, and reduced's root at
-s=0) ask it for them. branch_solve picks removals from the team sets
-it finds; reduced_solve enumerates how many representatives to delete
-per class, one recursion level per deletion, so its depth stays within
-s + 1 however many classes there are. fastpath_d1_tinf answers the
-single-team unbounded-size case by counting coverage.
+the dp and ilp routes run once on every user: a function of the kept
+users alone, core(kept), which returns its teams whenever it answers
+SAT. It runs on bare data at every node, with no sub-instance: the dp
+search or the pivot search on the kept users' masks, or the
+configuration search over one configuration list per search with the
+kept users' class sizes as capacities. branch_solve picks removals
+from the team sets it finds; reduced_solve enumerates how many
+representatives to delete per class, one recursion level per deletion,
+so its depth stays within s + 1 however many classes there are.
+fastpath_d1_tinf answers the single-team unbounded-size case by
+counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -81,14 +82,6 @@ def _rung(inst: Instance, limits: Limits) -> str:
     if (1 << inst.num_resources) <= limits.max_classes:
         return "ilp"
     return "pivot"
-
-
-def _pick_s0(
-    inst: Instance, limits: Limits, classes: dict[int, tuple[int, ...]]
-) -> tuple[str, Callable]:
-    # The rung's name and its s = 0 core on the classes' users.
-    rung = _rung(inst, limits)
-    return rung, teams.s0_core(inst, rung, limits, classes)
 
 
 def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
@@ -183,15 +176,14 @@ def _solve_survivors(
     so d teams need d distinct survivors who reach each one: counts
     short of that supply for some resource are UNSAT without an inner
     call. Otherwise the rung's core runs on the kept users in ascending
-    index, asked for teams only when need_teams; no solver picks a user
-    outside that set, so its teams are the ones it would find on all
-    survivors. Returns the answer and the core's teams in the caller's
-    numbering, None when it gave none. answers, when given, maps count
-    vectors, in mask order, to answers already found; a vector found
-    there is answered without an inner call, and without teams, unless
-    need_teams. branch_solve answers some of its answer-only nodes
-    without calling this (see _swap_covers); their answers do not enter
-    answers.
+    index; no solver picks a user outside that set, so its teams are
+    the ones it would find on all survivors. Returns the answer and the
+    core's teams in the caller's numbering, None when it gave none.
+    answers, when given, maps count vectors, in mask order, to answers
+    already found; unless need_teams, a vector found there is answered
+    from it, without an inner call and without teams. branch_solve
+    answers some of its answer-only nodes without calling this (see
+    _swap_covers); their answers do not enter answers.
     """
     kept, counts = _survivors(classes, removed_mask, inst.d)
     if answers is not None and not need_teams and counts in answers:
@@ -200,7 +192,7 @@ def _solve_survivors(
         sat, found = False, None
     else:
         kept.sort()
-        sat, found, _ = core(kept, counts, need_teams)
+        sat, found, _ = core(kept)
     if answers is not None:
         answers[counts] = sat
     return sat, found
@@ -230,15 +222,16 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     one of them; a user outside every team and not removed who reaches
     all that u's team loses without u takes u's place, and the teams
     are again d disjoint covering teams of at most t users: SAT with no
-    core call. Otherwise the core is asked for the answer alone, cached
-    by the capped per-class survivor counts across the whole search.
+    core call. Otherwise the answer is the core's, cached by the capped
+    per-class survivor counts across the whole search.
     Nodes that need teams always ask the core, so the witness and the
     branching order are the core's alone.
     """
     require_normalized(inst)
     classes = _candidates(inst)
-    inner_name, core = _pick_s0(inst, limits, classes)
-    stats = SolveStats(algorithm=f"branch+{inner_name}")
+    rung = _rung(inst, limits)
+    core = teams.s0_core(inst, rung, limits)
+    stats = SolveStats(algorithm=f"branch+{rung}")
     root_teams: list[TeamSet | None] = [None]
     outcomes: dict[int, Verdict | None] = {}
     answers: dict[tuple[int, ...], bool] = {}
@@ -292,9 +285,8 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     of that class, and all of those are charged against the budget.
     Enumerate per-class deletion counts in class bitmask order, skip
     vectors whose total cost exceeds s, and put the zero-removal query
-    to the survivors; at s > 0 no vector needs teams, so the rung's core
-    is asked only for the answer. The removal set of the first vector
-    that blocks is the witness.
+    to the survivors. The removal set of the first vector that blocks
+    is the witness; at s=0 the root's teams are.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -303,8 +295,9 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"exceeds {limits.max_classes}"
         )
     classes = _candidates(inst)
-    inner_name, core = _pick_s0(inst, limits, classes)
-    stats = SolveStats(algorithm=f"reduced+{inner_name}")
+    rung = _rung(inst, limits)
+    core = teams.s0_core(inst, rung, limits)
+    stats = SolveStats(algorithm=f"reduced+{rung}")
     d, s = inst.d, inst.s
 
     # Per class that a deletion can touch within the budget, in class
@@ -325,7 +318,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
         # beyond removed_mask, then those whose first further deletion
         # is in the last class, and so on back to class start.
         stats.nodes += 1
-        sat, found = _solve_survivors(inst, core, classes, removed_mask, need_teams=not s)
+        sat, found = _solve_survivors(inst, core, classes, removed_mask)
         if not sat:
             return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
         if not removed_mask:

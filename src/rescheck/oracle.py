@@ -2,8 +2,9 @@
 
 These are the trusted, definition-shaped searches every other solver is
 cross-checked against. They enumerate; they do not reduce. A user-count
-guard keeps accidental huge inputs from hanging a test run, callers who
-know better can lift it with user_limit=None.
+guard, Limits.oracle_users by default, keeps accidental huge inputs
+from hanging a test run; callers who know better can lift it with
+user_limit=None.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .policy import (
+    DEFAULT_LIMITS,
     SAT,
     UNSAT,
     BlockerSet,
@@ -33,7 +35,9 @@ def _check_size(inst: Instance, user_limit: int | None) -> None:
         )
 
 
-def solve_s0_bruteforce(inst: Instance, *, user_limit: int | None = 20) -> Verdict:
+def solve_s0_bruteforce(
+    inst: Instance, *, user_limit: int | None = DEFAULT_LIMITS.oracle_users
+) -> Verdict:
     """Exhaustive search for d disjoint covering teams (s is ignored).
 
     Users are assigned one at a time, in index order, to one of the d
@@ -143,7 +147,7 @@ def _survivors_verdict(
 def solve_rcp_bruteforce(
     inst: Instance,
     *,
-    user_limit: int | None = 20,
+    user_limit: int | None = DEFAULT_LIMITS.oracle_users,
     s0_memo: dict[int, Verdict] | None = None,
 ) -> Verdict:
     """Decide res(P, s, d, t) by trying every removal set.

@@ -12,10 +12,12 @@ Three exact searches on bare data, with different parameter sweet spots:
   resource, at most n^(d*t) leaves whatever |P| is; each call stops at
   PIVOT_MAX_NODES states.
 
-s0_core wraps the budget ladder rung's search as one s=0 core on a
-subset of the users, with its teams in the caller's numbering; the
-blocker searches call it at every node, and solve_s0, behind the dp and
-ilp routes, calls it once on every user.
+s0_core wraps the budget ladder rung's search as one s=0 core, a
+function of a set of users alone: core(kept) answers whether the kept
+users hold d disjoint covering teams of at most t users, with the teams
+in the caller's numbering when they do. The blocker searches call it at
+every node, and solve_s0, behind the dp and ilp routes, calls it once
+on every user.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
@@ -42,14 +44,13 @@ from .policy import (
 
 
 def dp_search(
-    access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
+    access: Sequence[int], p: int, d: int, t: int
 ) -> tuple[bool, list[set[int]] | None, int]:
     """Are there d disjoint teams of at most t users, drawn from the
     users with these access masks, that each reach all p resources?
 
     Returns the answer, the teams as sets of indices into access when
-    replay is asked for and the answer is SAT (else None), and the
-    number of memoized states.
+    the answer is SAT (else None), and the number of memoized states.
 
     State: for each of the d teams, the resources it still misses plus
     how many members it has so far; user i either joins one team that it
@@ -204,8 +205,6 @@ def dp_search(
             stack.pop()
         else:
             return False, None, len(failed)
-    if not replay:
-        return True, None, len(failed) + len(stack)
     teams: list[set[int]] = [set() for _ in range(d)]
     for frame in stack:
         if frame[4] >= 0:
@@ -281,6 +280,7 @@ def ilp_feasible(
     its largest value. Moving a level from x to x + 1 takes one more
     user from each of its classes, and exhausting a level gives its x
     back, so every node sees the capacities a recursive search would.
+    A class that capacities leave out has capacity 0.
     """
     remaining = dict(capacities)
     last = len(configs)
@@ -317,9 +317,10 @@ def ilp_feasible(
                 need -= 1
                 idx += 1
                 break
-            for m in configs[idx]:
-                remaining[m] += x
-            need += x
+            if x:
+                for m in configs[idx]:
+                    remaining[m] += x
+                need += x
             counts[idx] = 0
 
 
@@ -358,14 +359,13 @@ PIVOT_MAX_NODES = 500_000
 
 
 def pivot_search(
-    access: Sequence[int], p: int, d: int, t: int, *, replay: bool = False
+    access: Sequence[int], p: int, d: int, t: int
 ) -> tuple[bool, list[set[int]] | None, int]:
     """Are there d disjoint teams of at most t users, drawn from the
     users with these access masks, that each reach all p >= 1 resources?
 
     Returns the answer, the teams as sets of indices into access when
-    replay is asked for and the answer is SAT (else None), and the
-    number of states entered.
+    the answer is SAT (else None), and the number of states entered.
 
     Teams are filled one at a time. The first unfinished team takes its
     lowest missing resource r, and the search branches over the unused
@@ -419,8 +419,6 @@ def pivot_search(
             state = (j + 1, full, 0, used)
         else:
             break
-    if not replay:
-        return True, None, nodes
     teams: list[set[int]] = [set() for _ in range(d)]
     for (frame_state, _), u in zip(frames, picks):
         teams[frame_state[0]].add(u)
@@ -428,21 +426,17 @@ def pivot_search(
 
 
 def s0_core(
-    inst: Instance,
-    rung: str,
-    limits: Limits,
-    classes: dict[int, Sequence[int]],
-    extras: dict[str, int] | None = None,
-) -> Callable[[list[int], tuple[int, ...], bool], tuple[bool, TeamSet | None, int]]:
+    inst: Instance, rung: str, limits: Limits, extras: dict[str, int] | None = None
+) -> Callable[[list[int]], tuple[bool, TeamSet | None, int]]:
     """The s=0 core of a budget ladder rung: "dp", "ilp" or "pivot".
 
-    core(kept, counts, need_teams) answers the s=0 query on the users
-    kept, in ascending index: the answer, its teams in the caller's
-    numbering when need_teams and SAT (else None), and the search's node
-    count. dp and pivot search the kept users' masks. ilp takes counts
-    as the capacities of classes, in their mask order, and draws teams
-    from the lowest kept users of each class; its one configuration
-    list, made on the first call, serves every call.
+    core(kept) answers the s=0 query on the users kept, in ascending
+    index: the answer, its teams in the caller's numbering when SAT
+    (else None), and the search's node count. dp and pivot search the
+    kept users' masks. ilp groups the kept users by class, takes the
+    group sizes as the capacities and draws each team from the lowest
+    users of its classes; its one configuration list, made on the first
+    call, serves every call.
 
     A dp rung past dp_bits raises BudgetError. extras, when given, get
     the rung's size: dp_bits, or the number of configurations.
@@ -459,53 +453,50 @@ def s0_core(
     if rung != "ilp":
         search = dp_search if rung == "dp" else pivot_search
 
-        def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
-            sat, found, nodes = search([access[u] for u in kept], p, d, t, replay=need_teams)
-            if found is None:
-                return sat, None, nodes
-            teams = TeamSet(tuple(frozenset(kept[i] for i in team) for team in found))
-            return sat, teams, nodes
+        def core(kept: list[int]):
+            sat, found, nodes = search([access[u] for u in kept], p, d, t)
+            if not sat:
+                return False, None, nodes
+            return True, TeamSet(tuple(frozenset(kept[i] for i in team) for team in found)), nodes
 
         return core
     configs: list[tuple[int, ...]] | None = None
 
-    def core(kept: list[int], counts: tuple[int, ...], need_teams: bool):
+    def core(kept: list[int]):
         nonlocal configs
         if configs is None:
             configs = enumerate_configurations(inst, limits=limits)
             if extras is not None:
                 extras["configurations"] = len(configs)
-        vector, nodes = ilp_feasible(configs, dict(zip(classes, counts)), d)
-        if vector is None or not need_teams:
-            return vector is not None, None, nodes
         # Each class's kept users, ascending; access masks are class
         # masks on a normalized instance.
         pools: dict[int, list[int]] = {}
         for u in kept:
             pools.setdefault(access[u], []).append(u)
+        capacities = {mask: len(users) for mask, users in pools.items()}
+        vector, nodes = ilp_feasible(configs, capacities, d)
+        if vector is None:
+            return False, None, nodes
         return True, reconstruct_teams(pools, vector), nodes
 
     return core
 
 
 def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """The s=0 verdict of a rung's core run once on every user.
+    """The s=0 verdict of a rung's core run once on every user, those
+    who reach nothing included.
 
-    The dp route passes all n users, those who reach nothing included,
-    and builds no class table; the ilp route passes every class at its
-    full size. With no target resource, d empty teams
-    answer SAT before any budget is read. The verdict's stats carry the
-    core's node count and, under extras, its rung's size.
+    With no target resource, d empty teams answer SAT before any budget
+    is read. The verdict's stats carry the core's node count and, under
+    extras, its rung's size.
     """
     require_normalized(inst)
     stats = SolveStats(algorithm=rung)
     if inst.num_resources == 0:
         # Empty target: d empty teams cover it vacuously.
         return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
-    classes = class_partition(inst) if rung == "ilp" else {}
-    counts = tuple(len(users) for users in classes.values())
-    core = s0_core(inst, rung, limits, classes, stats.extras)
-    sat, found, stats.nodes = core(list(range(inst.n)), counts, True)
+    core = s0_core(inst, rung, limits, stats.extras)
+    sat, found, stats.nodes = core(list(range(inst.n)))
     if not sat:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     return Verdict(SAT, found, stats)

@@ -42,7 +42,7 @@ from rescheck import (
 )
 from rescheck.blockers import (
     _candidates,
-    _pick_s0,
+    _rung,
     _starved,
     _survivors,
     outside_domain,
@@ -220,19 +220,12 @@ class TestReduced:
             assert verify_witness(x, v)
 
     def test_s0_makes_one_inner_call(self, monkeypatch):
-        # the one call replays its memo for the witness teams
-        replays = []
-        search = rescheck.teams.dp_search
-
-        def counting(*args, replay=False):
-            replays.append(replay)
-            return search(*args, replay=replay)
-
-        monkeypatch.setattr(rescheck.teams, "dp_search", counting)
+        # the one call gives the witness teams
+        calls = counting(monkeypatch, "dp_search")
         x = norm([[0], [1]], p=2, s=0, d=1, t=2)
         v = reduced_solve(x)
         assert v.sat and verify_witness(x, v)
-        assert replays == [True]
+        assert calls == ["dp_search"]
         assert v.stats.nodes == 1
 
     def test_s_positive_makes_no_dp_solve_call(self, monkeypatch):
@@ -523,8 +516,8 @@ def test_searches_agree_beyond_the_oracle_guard(y):
 def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
     # the screen only rejects survivor sets the oracle rejects, and each
     # rung's core answers the survivors as the oracle does, the same on
-    # the kept users as on all survivors: the same answer and, when
-    # asked for, the same teams, drawn from the kept users and in the
+    # the kept users as on all survivors: the same answer and, exactly
+    # when SAT, the same teams, drawn from the kept users and in the
     # caller's numbering
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
@@ -532,24 +525,33 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
     kept, counts = _survivors(classes, removed_mask, y.d)
     kept.sort()
     survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
-    # every survivor of each class, uncapped, in the classes' order
-    members = class_partition(y)
-    uncapped = tuple(
-        sum(not removed_mask >> u & 1 for u in members[mask]) for mask in classes
-    )
     want = solve_s0_bruteforce(restrict(y, survivors)).sat
     if _starved(classes, counts, y.target, y.d):
         assert not want
     for rung, limits in RUNGS.items():
-        name, core = _pick_s0(y, limits, classes)
-        assert name == rung
-        sat, found, _ = core(kept, counts, True)
+        assert _rung(y, limits) == rung
+        core = rescheck.teams.s0_core(y, rung, limits)
+        sat, found, _ = core(kept)
         assert sat == want
-        assert core(kept, counts, False)[:2] == (sat, None)
-        assert core(survivors, uncapped, True)[:2] == (sat, found)
+        assert (found is not None) == sat
+        assert core(survivors)[:2] == (sat, found)
         if sat:
             assert set().union(*found.teams) <= set(kept)
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))
+
+
+@pytest.mark.parametrize("solver", [branch_solve, reduced_solve])
+@pytest.mark.parametrize("s", [1, 2])
+def test_ilp_core_answers_when_a_removal_empties_a_class(solver, s):
+    # removing user 0 or user 2 empties class {r0} or {r1}, which two
+    # of the three configurations use: the ilp core's capacities then
+    # leave that class out
+    x = norm([[0], [0, 1], [1]], p=2, s=s, d=1, t=2)
+    v = solver(x, limits=RUNGS["ilp"])
+    assert v.stats.algorithm.endswith("+ilp")
+    assert v.sat == solve_rcp_bruteforce(x).sat == (s == 1)
+    if not v.sat:
+        assert verify_witness(x, v)
 
 
 def _no_swap(*args, **kwargs):

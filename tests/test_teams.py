@@ -250,15 +250,14 @@ class TestDp:
     @settings(max_examples=400, deadline=None)
     @given(dp_questions())
     def test_same_answer_teams_and_states_as_the_replay_search(self, question):
-        for replay in (False, True):
-            assert teams.dp_search(*question, replay=replay) == _replay_dp_search(
-                *question, replay=replay
-            )
+        sat, found, states = teams.dp_search(*question)
+        assert (sat, found, states) == _replay_dp_search(*question, replay=True)
+        assert (sat, None, states) == _replay_dp_search(*question)
 
     def test_teams_come_from_each_users_current_placement(self):
         # user 2 joins team 0; user 1 fails in team 0, where it leaves
         # team 1 without r1, and succeeds in team 1; user 0 ends team 0
-        assert teams.dp_search([0b01, 0b11, 0b10], 2, 2, 2, replay=True) == (
+        assert teams.dp_search([0b01, 0b11, 0b10], 2, 2, 2) == (
             True, [{0, 2}, {1}], 6
         )
 
@@ -464,6 +463,14 @@ class TestIlpFeasible:
     def test_capacity_shortfall(self):
         assert ilp_feasible([(0b1,)], {0b1: 1}, d=2) == (None, 3)
 
+    def test_an_omitted_class_has_capacity_zero(self):
+        # classes 0b01 and 0b11 are missing: the configurations that
+        # need them take multiplicity 0, and backing up over them gives
+        # nothing back
+        configs = [(0b11,), (0b01, 0b10)]
+        assert ilp_feasible(configs, {0b10: 1}, d=1) == (None, 3)
+        assert ilp_feasible(configs, {0b11: 0, 0b10: 1}, d=1) == (None, 3)
+
     def test_mixed_shapes_split_the_classes(self):
         configs = [(0b11,), (0b01, 0b10), (0b01, 0b11), (0b10, 0b11)]
         capacities = {0b11: 1, 0b01: 1, 0b10: 1}
@@ -568,15 +575,13 @@ class TestPivot:
         ids=["two-teams", "size-cap", "unreached-resource", "failed-states", "deep"],
     )
     def test_search_on_bare_masks_is_the_solvers_search(self, rows, p, d, t):
-        # with replay, the same teams and states as solve_s0's pivot
-        # route; without it, the same answer and states and no teams
+        # the same answer, teams and states as solve_s0's pivot route
         x = norm(rows, p=p, d=d, t=t)
         v = solve_s0(x, "pivot")
-        sat, picked, nodes = teams.pivot_search(x.access, p, d, int(x.t), replay=True)
+        sat, picked, nodes = teams.pivot_search(x.access, p, d, int(x.t))
         assert (sat, nodes) == (v.sat, v.stats.nodes)
         found = None if picked is None else tuple(frozenset(team) for team in picked)
         assert found == (v.witness.teams if v.sat else None)
-        assert teams.pivot_search(x.access, p, d, int(x.t)) == (v.sat, None, v.stats.nodes)
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # 1500 one-user teams: a path of 1500 picks, one state per team
