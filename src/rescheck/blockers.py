@@ -1,31 +1,31 @@
 """Solvers for the general query with a removal budget s > 0, and routing.
 
 Both searches try removal sets and put the zero-removal question to an
-inner s=0 core through one step, _solve_survivors. Whether that
-question is SAT depends only on how many survivors each neighborhood
-class keeps, capped at d, so the core sees only the first
-min(|class|, d) survivors of every occupied class, and its teams are in
-the caller's numbering. Both searches read the classes from one table,
-_candidates, cut from class_partition. Before any core call, a supply
-screen sums the capped counts per resource: d disjoint covering teams
-need d distinct survivors who reach each resource, so a resource with
-fewer is UNSAT outright. branch_solve's nodes with no budget left also
-have a SAT screen, a swap: the parent's teams avoid every earlier
-removal, and the user removed last sits in exactly one of them. If a
-user who is neither removed nor in a team reaches every resource that
-team loses without it, swapping that user in gives d disjoint covering
-teams of at most t users, so the node is SAT with no core call. The core
-is teams.s0_core of the rung the budget ladder picks, the same core that
-the dp and ilp routes run once on every user: a function of the kept
-users alone, core(kept), which returns its teams whenever it answers
-SAT. It runs on bare data at every node, with no sub-instance: the dp
-search or the pivot search on the kept users' masks, or the
-configuration search over one configuration list per search with the
-kept users' class sizes as capacities. branch_solve picks removals
-from the team sets it finds; reduced_solve enumerates how many
-representatives to delete per class, one recursion level per deletion,
-so its depth stays within s + 1 however many classes there are.
-fastpath_d1_tinf answers the single-team unbounded-size case by
+inner s=0 core through one step, _solve_survivors, a function of the
+removal set alone. Whether that question is SAT depends only on how
+many survivors each neighborhood class keeps, capped at d, so the core
+sees only the first min(|class|, d) survivors of every occupied class,
+and its teams are in the caller's numbering. Both searches read the
+classes from one table, _candidates, cut from class_partition. The pass
+that picks those survivors also screens supply: d disjoint covering
+teams need d distinct survivors who reach each resource, so a resource
+with fewer is UNSAT with no core call. branch_solve's nodes with no
+budget left also have a SAT screen, a swap: the parent's teams avoid
+every earlier removal, and the user removed last sits in exactly one of
+them. If a user who is neither removed nor in a team reaches every
+resource that team loses without it, swapping that user in gives d
+disjoint covering teams of at most t users, so the node is SAT with no
+core call. The core is teams.s0_core of the rung the budget ladder
+picks, the same core that the dp and ilp routes run once on every user:
+a function of the kept users alone, core(kept), which returns its teams
+whenever it answers SAT. It runs on bare data at every node, with no
+sub-instance: the dp search or the pivot search on the kept users'
+masks, or the configuration search over one configuration list per
+search with the kept users' class sizes as capacities. branch_solve
+picks removals from the team sets it finds; reduced_solve enumerates
+how many representatives to delete per class, one recursion level per
+deletion, so its depth stays within s + 1 however many classes there
+are. fastpath_d1_tinf answers the single-team unbounded-size case by
 counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
@@ -92,42 +92,6 @@ def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
     return {mask: users[:keep] for mask, users in class_partition(inst).items() if mask}
 
 
-def _survivors(
-    classes: dict[int, tuple[int, ...]], removed_mask: int, d: int
-) -> tuple[list[int], tuple[int, ...]]:
-    # The first min(|class|, d) survivors of every class, class by class,
-    # and how many each class keeps, in mask order.
-    kept: list[int] = []
-    taken: list[int] = []
-    for users in classes.values():
-        count = 0
-        for u in users:
-            if not removed_mask >> u & 1:
-                kept.append(u)
-                count += 1
-                if count == d:
-                    break
-        taken.append(count)
-    return kept, tuple(taken)
-
-
-def _starved(
-    classes: dict[int, tuple[int, ...]], counts: tuple[int, ...], full: int, d: int
-) -> bool:
-    # Some resource is reached by fewer than d kept survivors, so d
-    # disjoint covering teams cannot exist. A class keeping fewer than d
-    # keeps all its survivors, so the capped counts decide this exactly.
-    # reach[k] is the set of resources reached by more than k of the
-    # classes seen so far; a class of count users with this mask lifts
-    # its resources count levels, top level first so each reads the old
-    # level below.
-    reach = [0] * d
-    for mask, count in zip(classes, counts):
-        for k in range(d - 1, -1, -1):
-            reach[k] |= mask if k < count else mask & reach[k - count]
-    return reach[-1] != full
-
-
 def _swap_covers(
     inst: Instance,
     classes: dict[int, tuple[int, ...]],
@@ -165,36 +129,42 @@ def _solve_survivors(
     core: Callable,
     classes: dict[int, tuple[int, ...]],
     removed_mask: int,
-    answers: dict[tuple[int, ...], bool] | None = None,
-    need_teams: bool = True,
 ) -> tuple[bool, TeamSet | None]:
     """The zero-removal query on the users left after removed_mask.
 
-    Only the first min(|class|, d) survivors of every occupied class
-    are kept, drawn from the _candidates classes; the answer depends
-    only on these per-class counts. Every team reaches every resource,
-    so d teams need d distinct survivors who reach each one: counts
-    short of that supply for some resource are UNSAT without an inner
-    call. Otherwise the rung's core runs on the kept users in ascending
-    index; no solver picks a user outside that set, so its teams are
-    the ones it would find on all survivors. Returns the answer and the
-    core's teams in the caller's numbering, None when it gave none.
-    answers, when given, maps count vectors, in mask order, to answers
-    already found; unless need_teams, a vector found there is answered
-    from it, without an inner call and without teams. branch_solve
-    answers some of its answer-only nodes without calling this (see
-    _swap_covers); their answers do not enter answers.
+    One pass over the _candidates classes keeps the first
+    min(|class|, d) survivors of each; the answer depends only on how
+    many each class keeps. Every team reaches every resource, so d
+    teams need d distinct survivors who reach each one: a resource with
+    fewer kept reachers is UNSAT without an inner call. A class keeping
+    fewer than d keeps all its survivors, so the kept users decide this
+    exactly. Otherwise the rung's core runs on the kept users in
+    ascending index; no solver picks a user outside that set, so its
+    teams are the ones it would find on all survivors. Returns the
+    answer and the core's teams in the caller's numbering, None on
+    UNSAT.
     """
-    kept, counts = _survivors(classes, removed_mask, inst.d)
-    if answers is not None and not need_teams and counts in answers:
-        return answers[counts], None
-    if _starved(classes, counts, inst.target, inst.d):
-        sat, found = False, None
-    else:
-        kept.sort()
-        sat, found, _ = core(kept)
-    if answers is not None:
-        answers[counts] = sat
+    d = inst.d
+    kept: list[int] = []
+    # reach[k] is the set of resources reached by more than k kept users
+    # of the classes seen so far; a class keeping count users lifts its
+    # resources count levels, top level first so each reads the old
+    # level below.
+    reach = [0] * d
+    for mask, users in classes.items():
+        count = 0
+        for u in users:
+            if not removed_mask >> u & 1:
+                kept.append(u)
+                count += 1
+                if count == d:
+                    break
+        for k in range(d - 1, -1, -1):
+            reach[k] |= mask if k < count else mask & reach[k - count]
+    if reach[-1] != inst.target:
+        return False, None
+    kept.sort()
+    sat, found, _ = core(kept)
     return sat, found
 
 
@@ -212,8 +182,9 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     found, so branching on its at most d*t members is exhaustive; that
     caps the tree at sum over i<=s of (d*t)^i nodes. Each removal set
     is explored once: the subtree outcome depends only on the set (its
-    size fixes the remaining budget), so revisits along another
-    branching order are answered from a cache.
+    size fixes the remaining budget), and a set that held a blocker
+    ends the search, so a revisit along another branching order finds
+    none.
 
     The core's teams, and with them the branching order, are the ones
     it would find on all survivors (see _solve_survivors). Nodes with
@@ -222,10 +193,8 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     one of them; a user outside every team and not removed who reaches
     all that u's team loses without u takes u's place, and the teams
     are again d disjoint covering teams of at most t users: SAT with no
-    core call. Otherwise the answer is the core's, cached by the capped
-    per-class survivor counts across the whole search.
-    Nodes that need teams always ask the core, so the witness and the
-    branching order are the core's alone.
+    core call. Every other node asks _solve_survivors, so the witness
+    and the branching order are the core's alone.
     """
     require_normalized(inst)
     classes = _candidates(inst)
@@ -233,8 +202,7 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     core = teams.s0_core(inst, rung, limits)
     stats = SolveStats(algorithm=f"branch+{rung}")
     root_teams: list[TeamSet | None] = [None]
-    outcomes: dict[int, Verdict | None] = {}
-    answers: dict[tuple[int, ...], bool] = {}
+    explored: set[int] = set()
 
     def node(
         removed_mask: int, budget: int, parent: TeamSet | None, u: int
@@ -242,30 +210,26 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
         # None means: no blocker extends this removal set within budget.
         # parent holds the teams found before removing u, None at the root.
         stats.nodes += 1
-        if removed_mask in outcomes:
-            return outcomes[removed_mask]
-        # Teams to branch on, or at the root the s = 0 witness.
-        need_teams = parent is None or budget > 0
-        if not need_teams and _swap_covers(inst, classes, parent, u, removed_mask):
-            sat, found = True, None
-        else:
-            sat, found = _solve_survivors(
-                inst, core, classes, removed_mask, answers, need_teams
-            )
+        if removed_mask in explored:
+            return None
+        explored.add(removed_mask)
+        if parent is not None and budget == 0 and _swap_covers(
+            inst, classes, parent, u, removed_mask
+        ):
+            return None
+        sat, found = _solve_survivors(inst, core, classes, removed_mask)
         if not removed_mask:
             root_teams[0] = found
-        result: Verdict | None = None
         if not sat:
-            result = Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
-        elif budget > 0:
+            return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+        if budget:
             if found is None:
                 raise RuntimeError("inner s=0 core returned SAT without teams")
             for w in sorted(set().union(*found.teams)):
                 result = node(removed_mask | (1 << w), budget - 1, found, w)
                 if result is not None:
-                    break
-        outcomes[removed_mask] = result
-        return result
+                    return result
+        return None
 
     found = node(0, inst.s, None, -1)
     if found is not None:

@@ -105,22 +105,10 @@ def find_d_expansion(inst: Instance, d: int) -> ExpansionWitness | None:
                     adj[r].append(u)
         match: dict[int, int] = {}
         load: dict[int, int] = {r: 0 for r in adj}
-
-        def augment(r: int, visited: set[int]) -> bool:
-            for u in adj[r]:
-                if u in visited:
-                    continue
-                visited.add(u)
-                owner = match.get(u)
-                if owner is None or augment(owner, visited):
-                    match[u] = r
-                    return True
-            return False
-
         # An augmenting path nets exactly one unit at its root; every
         # intermediate resource loses and regains a user.
         for r in sorted(adj):
-            while load[r] < d and augment(r, set()):
+            while load[r] < d and _augment(adj, match, r):
                 load[r] += 1
 
         unsaturated = [r for r in adj if load[r] < d]
@@ -152,6 +140,35 @@ def find_d_expansion(inst: Instance, d: int) -> ExpansionWitness | None:
             return None
         alive = new_alive
     return None
+
+
+def _augment(adj: dict[int, list[int]], match: dict[int, int], root: int) -> bool:
+    # Depth-first search for an augmenting path from resource root, which
+    # match (user -> resource) then takes: the path's free user goes to
+    # the last resource, and every matched user on it to the resource
+    # before its owner. Users are tried in adj order and each at most
+    # once per search. The stack holds (resource, its untried users, the
+    # user whose owner it is), so path length is not bounded by the
+    # recursion limit.
+    visited: set[int] = set()
+    stack = [(root, iter(adj[root]), -1)]
+    while stack:
+        r, users, _ = stack[-1]
+        for u in users:
+            if u in visited:
+                continue
+            visited.add(u)
+            owner = match.get(u)
+            if owner is None:
+                match[u] = r
+                for i in range(len(stack) - 1, 0, -1):
+                    match[stack[i][2]] = stack[i - 1][0]
+                return True
+            stack.append((owner, iter(adj[owner]), u))
+            break
+        else:
+            stack.pop()
+    return False
 
 
 def _validate_expansion(inst: Instance, w: ExpansionWitness, d: int) -> None:

@@ -43,8 +43,7 @@ from rescheck import (
 from rescheck.blockers import (
     _candidates,
     _rung,
-    _starved,
-    _survivors,
+    _solve_survivors,
     outside_domain,
 )
 
@@ -126,9 +125,8 @@ class TestBranch:
     @pytest.mark.parametrize("rung", ["dp", "pivot"])
     def test_swapped_member_answers_the_leaves(self, rung, monkeypatch):
         # the root's teams are {0, 1} and {2}; every removal drops its
-        # class below d = 2 survivors, so the counts cache cannot answer
-        # a child, but user 3 reaches what each team loses and refills
-        # it: only the root asks the rung's core
+        # class below d = 2 survivors, but user 3 reaches what each team
+        # loses and refills it: only the root asks the rung's core
         calls = counting(monkeypatch, "dp_search", "pivot_search")
         x = norm([[0], [1], [0, 1], [0, 1]], p=2, s=1, d=2, t=2)
         v = branch_solve(x, limits=RUNGS[rung])
@@ -514,19 +512,26 @@ def test_searches_agree_beyond_the_oracle_guard(y):
 @settings(max_examples=400, deadline=None)
 @given(instances(max_n=7, max_p=3, max_d=3), st.lists(st.integers(0, 6), unique=True))
 def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
-    # the screen only rejects survivor sets the oracle rejects, and each
-    # rung's core answers the survivors as the oracle does, the same on
-    # the kept users as on all survivors: the same answer and, exactly
-    # when SAT, the same teams, drawn from the kept users and in the
-    # caller's numbering
+    # _solve_survivors hands each rung's core the first min(|class|, d)
+    # survivors of every occupied class and calls it exactly when every
+    # resource keeps d reachers among them; it answers the survivors as
+    # the oracle does, and each core answers the same on the kept users
+    # as on all survivors: the same answer and, exactly when SAT, the
+    # same teams, drawn from the kept users and in the caller's numbering
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
-    classes = _candidates(y)
-    kept, counts = _survivors(classes, removed_mask, y.d)
+    kept = []
+    for mask, users in class_partition(y).items():
+        if mask:
+            kept += [u for u in users if not removed_mask >> u & 1][: y.d]
     kept.sort()
+    starved = any(
+        sum(1 for u in kept if y.access[u] >> r & 1) < y.d
+        for r in range(y.num_resources)
+    )
     survivors = [u for u in range(y.n) if not removed_mask >> u & 1]
     want = solve_s0_bruteforce(restrict(y, survivors)).sat
-    if _starved(classes, counts, y.target, y.d):
+    if starved:
         assert not want
     for rung, limits in RUNGS.items():
         assert _rung(y, limits) == rung
@@ -538,6 +543,15 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
         if sat:
             assert set().union(*found.teams) <= set(kept)
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))
+        asked = []
+
+        def recorded(users):
+            asked.append(list(users))
+            return core(users)
+
+        got = _solve_survivors(y, recorded, _candidates(y), removed_mask)
+        assert asked == ([] if starved else [kept])
+        assert got == ((False, None) if starved else (sat, found))
 
 
 @pytest.mark.parametrize("solver", [branch_solve, reduced_solve])
@@ -573,3 +587,25 @@ def test_swap_screen_keeps_every_verdict(x):
             plain = branch_solve(y, limits=limits)
         assert (v.answer, v.witness, v.stats) == (plain.answer, plain.witness, plain.stats)
         assert v.sat == want
+
+
+def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
+    # the root's team is {0, 1}; removing either leaves a team holding
+    # the other, so {0, 1} is reached along both branching orders. With
+    # the swap screen finding nothing every node would ask the core, but
+    # the revisit returns at once
+    asked = []
+    solve_survivors = rescheck.blockers._solve_survivors
+
+    def recorded(inst, core, classes, removed_mask):
+        asked.append(removed_mask)
+        return solve_survivors(inst, core, classes, removed_mask)
+
+    monkeypatch.setattr(rescheck.blockers, "_swap_covers", _no_swap)
+    monkeypatch.setattr(rescheck.blockers, "_solve_survivors", recorded)
+    x = norm([[0], [1], [0], [1], [0], [1]], p=2, s=2, d=1, t=2)
+    v = branch_solve(x)
+    assert v.sat
+    assert asked.count(0b11) == 1
+    assert len(asked) == len(set(asked))
+    assert v.stats.nodes > len(asked)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rescheck.kernel
 from conftest import inst, norm
 from rescheck import (
     INF,
@@ -72,6 +75,76 @@ class TestFindExpansion:
         x = normalize(inst([[0], []], p=1, t=INF))
         with pytest.raises(PreconditionError):
             find_d_expansion(x, 1)
+
+
+def _recursive_augment(adj, match, root):
+    # The recursive augmenting-path search that _augment replaced, kept
+    # as the reference for its visiting order and the matching it leaves.
+    visited = set()
+
+    def augment(r):
+        for u in adj[r]:
+            if u in visited:
+                continue
+            visited.add(u)
+            owner = match.get(u)
+            if owner is None or augment(owner):
+                match[u] = r
+                return True
+        return False
+
+    return augment(root)
+
+
+@st.composite
+def bipartite(draw):
+    # p resources, each user's nonempty set of them, and d.
+    p = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 14))
+    rows = [draw(st.sets(st.integers(0, p - 1), min_size=1)) for _ in range(n)]
+    return p, rows, draw(st.integers(1, 3))
+
+
+class TestAugment:
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite(), st.randoms(use_true_random=False))
+    def test_same_matching_as_the_recursive_search(self, graph, rng):
+        p, rows, d = graph
+        adj = {r: [u for u, row in enumerate(rows) if r in row] for r in range(p)}
+        for users in adj.values():
+            rng.shuffle(users)
+        runs = []
+        for augment in (rescheck.kernel._augment, _recursive_augment):
+            match, found = {}, []
+            for r in range(p):
+                for _ in range(d):
+                    found.append(augment(adj, match, r))
+            runs.append((found, list(match.items())))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite())
+    def test_same_expansion_as_the_recursive_search(self, graph):
+        p, rows, d = graph
+        x = norm([sorted(row) for row in rows], p=p, s=0, d=d, t=INF)
+        y, _ = rule1_strip(x)
+        w = find_d_expansion(y, y.d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rescheck.kernel, "_augment", _recursive_augment)
+            assert find_d_expansion(y, y.d) == w
+
+    def test_alternating_path_past_the_recursion_limit(self):
+        # users j = 2998..0 reach {j, j+1}, then one user reaches {0}:
+        # matching r0 last follows an alternating path through every
+        # resource, 3000 deep
+        p = 3000
+        rows = [[j, j + 1] for j in reversed(range(p - 1))] + [[0]]
+        x = norm(rows, p=p, s=0, d=1, t=INF)
+        w = find_d_expansion(x, 1)
+        assert w.x == frozenset(range(p))
+        kernel, trace = kernelize(x)
+        assert trace.trivially_sat
+        assert replay(x, trace) == kernel
 
 
 class TestRule2:
