@@ -9,23 +9,33 @@ and its teams are in the caller's numbering. Both searches read the
 classes from one table, _candidates, cut from class_partition. The pass
 that picks those survivors also screens supply: d disjoint covering
 teams need d distinct survivors who reach each resource, so a resource
-with fewer is UNSAT with no core call. branch_solve's nodes with no
-budget left also have a SAT screen, a swap: the parent's teams avoid
-every earlier removal, and the user removed last sits in exactly one of
-them. If a user who is neither removed nor in a team reaches every
-resource that team loses without it, swapping that user in gives d
-disjoint covering teams of at most t users, so the node is SAT with no
-core call. The core is teams.s0_core of the rung the budget ladder
-picks, the same core that the dp and ilp routes run once on every user:
-a function of the kept users alone, core(kept), which returns its teams
-whenever it answers SAT. It runs on bare data at every node, with no
-sub-instance: the dp search or the pivot search on the kept users'
-masks, or the configuration search over one configuration list per
-search with the kept users' class sizes as capacities. branch_solve
-picks removals from the team sets it finds; reduced_solve enumerates
-how many representatives to delete per class, one recursion level per
-deletion, so its depth stays within s + 1 however many classes there
-are. fastpath_d1_tinf answers the single-team unbounded-size case by
+with fewer is UNSAT with no core call.
+
+The other screen, _stored_covers, answers SAT from the team sets a
+search has already found. Each search keeps every team set its core
+returns, with the set's members as a bitmask. d disjoint covering teams
+of at most t users that avoid a removal set prove that set no blocker,
+so a node that needs only the answer is SAT with no core call when a
+stored set avoids its removals. A stored set that meets them in exactly
+one user u needs one swap (_swap_covers): u's team without u misses the
+resources only u reached, and a user who is neither removed nor in a
+team and reaches all of them takes u's place, which gives d disjoint
+covering teams of at most t users again. The screen answers SAT only
+where the core would, so every node answers as before; nodes that need
+teams still ask the core, so witnesses and branching orders are the
+core's.
+
+The core is teams.s0_core of the rung the budget ladder picks, the same
+core that the dp and ilp routes run once on every user: a function of
+the kept users alone, core(kept), which returns its teams whenever it
+answers SAT. It runs on bare data, with no sub-instance: the dp search
+or the pivot search on the kept users' masks, or the configuration
+search over one configuration list per search with the kept users'
+class sizes as capacities. branch_solve picks removals from the team
+sets it finds, on an explicit stack; reduced_solve enumerates how many
+representatives to delete per class, one recursion level per deletion,
+so its depth stays within s + 1 however many classes there are.
+fastpath_d1_tinf answers the single-team unbounded-size case by
 counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
@@ -124,6 +134,36 @@ def _swap_covers(
     return False
 
 
+def _stored_covers(
+    inst: Instance,
+    classes: dict[int, tuple[int, ...]],
+    store: list[tuple[int, TeamSet]],
+    removed_mask: int,
+) -> bool:
+    # store holds (members mask, teams) for every team set the core has
+    # returned. True when one of them, newest first, avoids removed_mask,
+    # or meets it in one user whom a swap replaces; a False says nothing
+    # about the answer.
+    for members, found in reversed(store):
+        hit = members & removed_mask
+        if not hit:
+            return True
+        if not hit & (hit - 1) and _swap_covers(
+            inst, classes, found, hit.bit_length() - 1, removed_mask
+        ):
+            return True
+    return False
+
+
+def _stored(found: TeamSet) -> tuple[int, TeamSet]:
+    # A store entry: the members of found as a bitmask, and found.
+    members = 0
+    for team in found.teams:
+        for w in team:
+            members |= 1 << w
+    return members, found
+
+
 def _solve_survivors(
     inst: Instance,
     core: Callable,
@@ -184,57 +224,49 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     is explored once: the subtree outcome depends only on the set (its
     size fixes the remaining budget), and a set that held a blocker
     ends the search, so a revisit along another branching order finds
-    none.
+    none. The search is depth-first on an explicit stack, in the order
+    a recursion would take, so s is not bounded by the recursion limit.
 
     The core's teams, and with them the branching order, are the ones
     it would find on all survivors (see _solve_survivors). Nodes with
-    no budget left, the root apart, need only the answer. The parent's
-    teams avoid every removal but the last, user u, who sits in exactly
-    one of them; a user outside every team and not removed who reaches
-    all that u's team loses without u takes u's place, and the teams
-    are again d disjoint covering teams of at most t users: SAT with no
-    core call. Every other node asks _solve_survivors, so the witness
-    and the branching order are the core's alone.
+    no budget left, the root apart, need only the answer, and
+    _stored_covers answers them SAT with no core call when a team set
+    found earlier avoids the removals, or meets them in one user whom a
+    swap replaces. The parent's teams are always in the store and meet
+    the removals only in the user removed last, so a swap for that
+    member is always tried. Every other node asks _solve_survivors, so
+    the witness and the branching order are the core's alone.
     """
     require_normalized(inst)
     classes = _candidates(inst)
     rung = _rung(inst, limits)
     core = teams.s0_core(inst, rung, limits)
     stats = SolveStats(algorithm=f"branch+{rung}")
-    root_teams: list[TeamSet | None] = [None]
+    store: list[tuple[int, TeamSet]] = []
     explored: set[int] = set()
-
-    def node(
-        removed_mask: int, budget: int, parent: TeamSet | None, u: int
-    ) -> Verdict | None:
-        # None means: no blocker extends this removal set within budget.
-        # parent holds the teams found before removing u, None at the root.
+    # Children left to visit at each open node, as (removal mask, budget).
+    pending = [iter([(0, inst.s)])]
+    while pending:
+        child = next(pending[-1], None)
+        if child is None:
+            pending.pop()
+            continue
+        removed_mask, budget = child
         stats.nodes += 1
         if removed_mask in explored:
-            return None
+            continue
         explored.add(removed_mask)
-        if parent is not None and budget == 0 and _swap_covers(
-            inst, classes, parent, u, removed_mask
-        ):
-            return None
+        # The store is empty at the root, whose teams are the s=0 witness.
+        if not budget and _stored_covers(inst, classes, store, removed_mask):
+            continue
         sat, found = _solve_survivors(inst, core, classes, removed_mask)
-        if not removed_mask:
-            root_teams[0] = found
         if not sat:
             return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+        store.append(_stored(found))
         if budget:
-            if found is None:
-                raise RuntimeError("inner s=0 core returned SAT without teams")
-            for w in sorted(set().union(*found.teams)):
-                result = node(removed_mask | (1 << w), budget - 1, found, w)
-                if result is not None:
-                    return result
-        return None
-
-    found = node(0, inst.s, None, -1)
-    if found is not None:
-        return found
-    witness = root_teams[0] if inst.s == 0 else None
+            members = sorted(set().union(*found.teams))
+            pending.append(iter([(removed_mask | 1 << w, budget - 1) for w in members]))
+    witness = store[0][1] if inst.s == 0 else None
     return Verdict(SAT, witness, stats)
 
 
@@ -251,6 +283,12 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     vectors whose total cost exceeds s, and put the zero-removal query
     to the survivors. The removal set of the first vector that blocks
     is the witness; at s=0 the root's teams are.
+
+    Only the root's teams can be needed, so every other node needs only
+    the answer, and _stored_covers answers it SAT with no core call
+    when a team set found earlier avoids the removals, or meets them in
+    one user whom a swap replaces. Every other node asks
+    _solve_survivors, so nodes and blockers are as without the screen.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -274,19 +312,20 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             spares = users[d:]
             touchable.append((users[:d], sum(1 << u for u in spares), len(spares)))
     stats.extras["reduced_users"] = sum(min(len(users), d) for users in classes.values())
-    first_teams: list[TeamSet | None] = [None]
+    store: list[tuple[int, TeamSet]] = []
 
     def search(start: int, cost: int, removed_mask: int) -> Verdict | None:
         # Deletion vectors in lexicographic order of their per-class
         # counts, one call per deletion: the vector that deletes nothing
         # beyond removed_mask, then those whose first further deletion
-        # is in the last class, and so on back to class start.
+        # is in the last class, and so on back to class start. The store
+        # is empty at the root.
         stats.nodes += 1
-        sat, found = _solve_survivors(inst, core, classes, removed_mask)
-        if not sat:
-            return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
-        if not removed_mask:
-            first_teams[0] = found
+        if not _stored_covers(inst, classes, store, removed_mask):
+            sat, found = _solve_survivors(inst, core, classes, removed_mask)
+            if not sat:
+                return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
+            store.append(_stored(found))
         for idx in range(len(touchable) - 1, start - 1, -1):
             reps, drop, spare = touchable[idx]
             for k in range(1, len(reps) + 1):
@@ -301,7 +340,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     found = search(0, 0, 0)
     if found is not None:
         return found
-    witness = first_teams[0] if s == 0 else None
+    witness = store[0][1] if s == 0 else None
     return Verdict(SAT, witness, stats)
 
 

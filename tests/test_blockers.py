@@ -53,6 +53,12 @@ RUNGS = {
     "ilp": Limits(dp_bits=0),
     "pivot": Limits(dp_bits=0, max_classes=1),
 }
+# Each search on each rung it reaches; reduced refuses the pivot rung's
+# class budget.
+SEARCHES = [(branch_solve, rung) for rung in RUNGS] + [
+    (reduced_solve, "dp"),
+    (reduced_solve, "ilp"),
+]
 
 
 def counting(monkeypatch, *names):
@@ -147,6 +153,10 @@ class TestBranch:
             ([[0], [1], [0]], 2, 1, 1, 2, {1}),
             # user 1 reaches r0 but not r1, both of which user 0 alone held
             ([[0, 1], [0]], 2, 1, 1, 2, {0}),
+            # the leaf's removals meet the root's teams {0}, {1} twice;
+            # the newest teams {2}, {3} meet them once and leave no
+            # free user
+            ([[0], [0], [0], [0]], 1, 3, 2, 1, {0, 1, 2}),
         ],
     )
     def test_swap_needs_a_free_user_reaching_every_lost_resource(
@@ -227,15 +237,40 @@ class TestReduced:
         assert v.stats.nodes == 1
 
     def test_s_positive_makes_no_dp_solve_call(self, monkeypatch):
-        # at s > 0 no node needs teams: the dp search answers on bare
-        # masks, and no sub-instance is built
+        # at s > 0 no node needs teams: the dp search answers the root on
+        # bare masks, no sub-instance is built, and the root's teams
+        # {0, 2} and {1, 3}, with a swap where a deletion meets them,
+        # answer the three other nodes
         calls = counting(monkeypatch, "dp_solve", "dp_search")
         x = norm([[0], [0], [1], [1], [0, 1]], p=2, s=1, d=2, t=2)
         v = reduced_solve(x)
         assert v.stats.algorithm == "reduced+dp"
         assert v.sat and v.witness is None and solve_rcp_bruteforce(x).sat
         assert v.stats.nodes == 4
-        assert "dp_solve" not in calls and calls.count("dp_search") >= 2
+        assert calls == ["dp_search"]
+
+    @pytest.mark.parametrize(
+        "rows, p, s, d, t, blocker",
+        [
+            # the root's team {0, 1} meets the deletion of users 0 and
+            # 1 twice, and no swap repairs two members
+            ([[1, 2], [0, 2], [0, 1], [0, 1]], 3, 2, 1, 3, {0, 1}),
+            # the root's teams {0} and {1} meet the deletion of user 0
+            # once, but the only other user is in the other team
+            ([[0], [0]], 1, 1, 2, 1, {0}),
+            # team {0, 1} loses r1 with user 1; user 2 is free but
+            # reaches r0 only
+            ([[0], [1], [0]], 2, 1, 1, 2, {1}),
+        ],
+    )
+    def test_stored_teams_meeting_the_deletions_prove_nothing(
+        self, rows, p, s, d, t, blocker
+    ):
+        x = norm(rows, p=p, s=s, d=d, t=t)
+        v = reduced_solve(x)
+        assert not v.sat and not solve_rcp_bruteforce(x).sat
+        assert v.witness == BlockerSet(frozenset(blocker))
+        assert verify_witness(x, v)
 
     def test_ilp_rung_enumerates_configurations_once(self, monkeypatch):
         calls = counting(monkeypatch, "enumerate_configurations", "ilp_solve")
@@ -451,14 +486,10 @@ def test_no_search_builds_a_sub_instance(x):
     # every rung's core runs on bare data, teams included; witnesses are
     # checked outside the patch, since verify_witness restricts
     y = normalize(x)
-    runs = [(branch_solve, rung) for rung in RUNGS] + [
-        (reduced_solve, "dp"),
-        (reduced_solve, "ilp"),
-    ]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rescheck.blockers, "restrict", _no_restrict)
         patch.setattr(rescheck.policy, "restrict", _no_restrict)
-        verdicts = [(rung, search(y, limits=RUNGS[rung])) for search, rung in runs]
+        verdicts = [(rung, search(y, limits=RUNGS[rung])) for search, rung in SEARCHES]
     want = solve_rcp_bruteforce(y).sat
     for rung, v in verdicts:
         assert v.stats.algorithm.endswith(f"+{rung}")
@@ -568,23 +599,24 @@ def test_ilp_core_answers_when_a_removal_empties_a_class(solver, s):
         assert verify_witness(x, v)
 
 
-def _no_swap(*args, **kwargs):
+def _nothing_stored(*args, **kwargs):
     return False
 
 
 @settings(max_examples=300, deadline=None)
 @given(instances(max_n=7, max_p=3, max_s=2, max_d=3))
 def test_swap_screen_keeps_every_verdict(x):
-    # branch answers as it does with the swap screen finding nothing, on
-    # every rung, down to the witness, node count and extras, and as the
-    # oracle does
+    # both searches answer as they do with the stored-teams screen
+    # finding nothing, on every rung they reach, down to the witness,
+    # node count and extras, and as the oracle does
     y = normalize(x)
     want = solve_rcp_bruteforce(y).sat
-    for limits in RUNGS.values():
-        v = branch_solve(y, limits=limits)
+    for search, rung in SEARCHES:
+        v = search(y, limits=RUNGS[rung])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rescheck.blockers, "_swap_covers", _no_swap)
-            plain = branch_solve(y, limits=limits)
+            patch.setattr(rescheck.blockers, "_stored_covers", _nothing_stored)
+            plain = search(y, limits=RUNGS[rung])
+        assert v.stats.algorithm.endswith(f"+{rung}")
         assert (v.answer, v.witness, v.stats) == (plain.answer, plain.witness, plain.stats)
         assert v.sat == want
 
@@ -592,8 +624,8 @@ def test_swap_screen_keeps_every_verdict(x):
 def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
     # the root's team is {0, 1}; removing either leaves a team holding
     # the other, so {0, 1} is reached along both branching orders. With
-    # the swap screen finding nothing every node would ask the core, but
-    # the revisit returns at once
+    # the stored-teams screen finding nothing every node would ask the
+    # core, but the revisit returns at once
     asked = []
     solve_survivors = rescheck.blockers._solve_survivors
 
@@ -601,7 +633,7 @@ def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
         asked.append(removed_mask)
         return solve_survivors(inst, core, classes, removed_mask)
 
-    monkeypatch.setattr(rescheck.blockers, "_swap_covers", _no_swap)
+    monkeypatch.setattr(rescheck.blockers, "_stored_covers", _nothing_stored)
     monkeypatch.setattr(rescheck.blockers, "_solve_survivors", recorded)
     x = norm([[0], [1], [0], [1], [0], [1]], p=2, s=2, d=1, t=2)
     v = branch_solve(x)
@@ -609,3 +641,14 @@ def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
     assert asked.count(0b11) == 1
     assert len(asked) == len(set(asked))
     assert v.stats.nodes > len(asked)
+
+
+def test_a_chain_deeper_than_the_recursion_limit():
+    # 1,200 removals down one branch: each team is the next user, the
+    # budget-0 leaf swaps user 1,200 in, and no frame is kept per level
+    x = normalize(
+        Instance(access=(1,) * 3000, num_resources=1, target=1, s=1200, d=1, t=1)
+    )
+    v = branch_solve(x)
+    assert v.sat and v.witness is None
+    assert v.stats.nodes == 1201
