@@ -5,6 +5,16 @@ cross-checked against. They enumerate; they do not reduce. A user-count
 guard, Limits.oracle_users by default, keeps accidental huge inputs
 from hanging a test run; callers who know better can lift it with
 user_limit=None.
+
+The removal search asks the s=0 question of many survivor sets. Each
+is searched on the survivors' access masks (solve_s0_bruteforce's kept
+argument), not on a restricted instance. One shortcut answers some of
+them: removing users never creates a team set, so a team set found by
+an earlier search stays a team set among any survivors that include
+all of its members. A survivor set that such a stored set fits in is
+answered SAT without a search. Only SAT is answered this way; every
+UNSAT, and with it every blocker, comes from a full search of exactly
+that survivor set.
 """
 
 from __future__ import annotations
@@ -23,20 +33,23 @@ from .policy import (
     TeamSet,
     Verdict,
     require_normalized,
-    restrict,
+    restrict,  # unused here; perfbench/tracing.py binds oracle.restrict
 )
 
 
-def _check_size(inst: Instance, user_limit: int | None) -> None:
-    if user_limit is not None and inst.n > user_limit:
+def _check_size(n: int, user_limit: int | None) -> None:
+    if user_limit is not None and n > user_limit:
         raise BudgetError(
-            f"oracle guard: {inst.n} users exceeds limit {user_limit}; "
+            f"oracle guard: {n} users exceeds limit {user_limit}; "
             "pass user_limit=None to override"
         )
 
 
 def solve_s0_bruteforce(
-    inst: Instance, *, user_limit: int | None = DEFAULT_LIMITS.oracle_users
+    inst: Instance,
+    *,
+    user_limit: int | None = DEFAULT_LIMITS.oracle_users,
+    kept: int | None = None,
 ) -> Verdict:
     """Exhaustive search for d disjoint covering teams (s is ignored).
 
@@ -49,13 +62,22 @@ def solve_s0_bruteforce(
     are not re-searched. On success the teams are reported sorted by
     smallest member index. The search keeps one frame per user on an
     explicit stack, so Python's recursion limit does not bound n.
+
+    kept, a bitmask of users, searches only those users: the search of
+    restrict(inst, kept users), on their access masks, with the teams
+    reported in inst's numbering.
     """
     require_normalized(inst)
-    _check_size(inst, user_limit)
+    if kept is None:
+        users = None
+        access = inst.access
+    else:
+        users = [u for u in range(inst.n) if kept >> u & 1]
+        access = [inst.access[u] for u in users]
+    n, d, t = len(access), inst.d, int(inst.t)
+    _check_size(n, user_limit)
     stats = SolveStats(algorithm="oracle-s0")
-    n, d, t = inst.n, inst.d, int(inst.t)
     full = inst.target
-    access = inst.access
 
     # suffix_union[i] = resources still reachable using users i..n-1
     suffix_union = [0] * (n + 1)
@@ -125,6 +147,8 @@ def solve_s0_bruteforce(
     sat = result is True
     if not sat:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
+    if users is not None:
+        members = [[users[i] for i in m] for m in members]
     teams = sorted((frozenset(m) for m in members), key=lambda team: tuple(sorted(team)))
     return Verdict(SAT, TeamSet(tuple(teams)), stats)
 
@@ -133,15 +157,28 @@ def _survivors_verdict(
     inst: Instance, removed: Iterable[int], memo: dict[int, Verdict]
 ) -> Verdict:
     # The s=0 verdict on the users left after removing removed, memoized
-    # under the bitmask of those users.
+    # under the bitmask of those users. A miss is answered by a team set
+    # stored in the memo when one fits among the survivors, else searched.
     kept_mask = (1 << inst.n) - 1
     for u in removed:
         kept_mask &= ~(1 << u)
     cached = memo.get(kept_mask)
     if cached is None:
-        kept = [u for u in range(inst.n) if kept_mask >> u & 1]
-        cached = memo[kept_mask] = solve_s0_bruteforce(restrict(inst, kept), user_limit=None)
+        cached = memo[kept_mask] = _stored_teams(memo, kept_mask) or solve_s0_bruteforce(
+            inst, user_limit=None, kept=kept_mask
+        )
     return cached
+
+
+def _stored_teams(memo: dict[int, Verdict], kept_mask: int) -> Verdict | None:
+    # The newest SAT verdict in the memo whose teams use only kept users.
+    # An entry answered this way shares the stored verdict, stats included.
+    for verdict in reversed(memo.values()):
+        if verdict.sat and all(
+            kept_mask >> u & 1 for team in verdict.witness.teams for u in team
+        ):
+            return verdict
+    return None
 
 
 def solve_rcp_bruteforce(
@@ -156,10 +193,13 @@ def solve_rcp_bruteforce(
     lexicographically within each cardinality, so an UNSAT verdict
     always carries a minimum-cardinality blocker. s0_memo, keyed by the
     bitmask of surviving users, lets sweeps share sub-results across
-    repeated calls; it never changes answers.
+    repeated calls; it never changes answers. A stored team set may
+    answer a later survivor set (see the module docstring), so with a
+    memo that earlier calls filled, an s=0 team witness may be one they
+    found.
     """
     require_normalized(inst)
-    _check_size(inst, user_limit)
+    _check_size(inst.n, user_limit)
     stats = SolveStats(algorithm="oracle")
     n = inst.n
     memo = s0_memo if s0_memo is not None else {}

@@ -12,8 +12,9 @@ resource indices. String labels are carried along so witnesses can be
 reported in the caller's vocabulary.
 
 Two functions cut instances down. restrict keeps a subset of users and
-leaves the query as it is; only the oracle's survivor check calls it,
-since the blocker searches run on bare data. project deletes users and
+leaves the query as it is; no solver calls it, since the blocker
+searches and the oracle's survivor check run on bare data, but it
+states what those searches answer. project deletes users and
 resources, renumbers densely, keeps labels, projects the target and
 clamps t; normalize and every kernel reduction are projections.
 class_partition groups users by the target resources they reach, the
@@ -285,8 +286,12 @@ def verify_witness(
     s0_memo is solve_rcp_bruteforce's memo of brute-force s=0 verdicts
     for this instance's users, keyed by the bitmask of surviving users.
     A blocker whose survivors it holds is decided by that verdict, and
-    a miss is solved and stored in it. Only solve_s0_bruteforce writes
-    entries, so the check stays independent of the witness's solver.
+    a miss is answered and stored in it. Every entry is the oracle's: a
+    search by solve_s0_bruteforce, or SAT from a team set such a search
+    found among users who all survive (removing users never creates a
+    team set). A blocker is valid only on UNSAT, and UNSAT always comes
+    from a full search of exactly its survivors, so the check stays
+    independent of the witness's solver.
     """
     w = verdict.witness
     if w is None:

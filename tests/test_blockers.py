@@ -483,8 +483,7 @@ def _no_restrict(*args, **kwargs):
 @settings(max_examples=150, deadline=None)
 @given(instances(max_n=7, max_p=3, max_s=1, max_d=3))
 def test_no_search_builds_a_sub_instance(x):
-    # every rung's core runs on bare data, teams included; witnesses are
-    # checked outside the patch, since verify_witness restricts
+    # every rung's core runs on bare data, teams included
     y = normalize(x)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rescheck.blockers, "restrict", _no_restrict)

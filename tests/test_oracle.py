@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from rescheck import (
     Verdict,
     normalize,
     require_normalized,
+    restrict,
     solve_rcp_bruteforce,
     solve_s0_bruteforce,
     verify_witness,
 )
+from rescheck.oracle import _survivors_verdict
 
 
 def recursive_s0(inst: Instance) -> Verdict:
@@ -111,6 +114,8 @@ class TestSolveS0:
         with pytest.raises(BudgetError):
             solve_s0_bruteforce(x)
         assert solve_s0_bruteforce(x, user_limit=None).sat
+        # the guard counts the users searched
+        assert solve_s0_bruteforce(x, kept=(1 << 20) - 1).sat
 
     def test_ignores_removal_budget(self):
         # s plays no role in the s=0 question
@@ -249,3 +254,41 @@ def test_s0_stack_search_matches_the_recursion(x):
     assert (got.answer, got.witness, got.stats.nodes) == (
         expected.answer, expected.witness, expected.stats.nodes
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_n=9, max_p=3, max_d=3), st.data())
+def test_kept_users_search_as_their_restriction(x, data):
+    # same answer and node count as the search of restrict(y, users),
+    # with the teams renumbered into y's users
+    y = normalize(x)
+    kept = data.draw(st.integers(0, (1 << y.n) - 1))
+    users = [u for u in range(y.n) if kept >> u & 1]
+    got, sub = solve_s0_bruteforce(y, kept=kept), solve_s0_bruteforce(restrict(y, users))
+    assert (got.answer, got.stats.nodes) == (sub.answer, sub.stats.nodes)
+    if sub.sat:
+        renumbered = tuple(frozenset(users[i] for i in team) for team in sub.witness.teams)
+        assert got.witness == TeamSet(renumbered)
+    else:
+        assert got.witness == sub.witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=7, max_p=3, max_s=3, max_d=2), st.data())
+def test_a_shared_memo_answers_every_survivor_set_as_its_own_search(x, data):
+    # A memo miss may be answered SAT from a team set an earlier search
+    # of the same memo found; the answer must still be the survivor
+    # set's own, and every SAT entry's teams must be a team set of
+    # users that survive in that entry.
+    y = normalize(x)
+    removals = [r for k in range(min(y.s, y.n) + 1) for r in combinations(range(y.n), k)]
+    memo: dict[int, Verdict] = {}
+    for removed in data.draw(st.permutations(removals)):
+        kept = [u for u in range(y.n) if u not in removed]
+        want = solve_s0_bruteforce(restrict(y, kept), user_limit=None)
+        assert _survivors_verdict(y, removed, memo).answer == want.answer
+    as_s0 = replace(y, s=0)
+    for kept_mask, verdict in memo.items():
+        if verdict.sat:
+            assert verify_witness(as_s0, verdict)
+            assert all(kept_mask >> u & 1 for team in verdict.witness.teams for u in team)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import rescheck.oracle
+import rescheck.policy
 import rescheck.sweep
 from rescheck import UNSAT, BlockerSet, Verdict
 from rescheck.sweep import SweepConfig, run_sweep
@@ -26,6 +28,27 @@ def test_small_sweep_counts_are_pinned():
     }
     assert report.witnesses_checked == 3959
     assert report.blockers_checked == 391
+
+
+def test_small_sweep_oracle_search_count_is_pinned(monkeypatch):
+    # The oracle searches survivor sets on bare masks, and a memo miss
+    # that a stored team set avoids is answered SAT without a search.
+    # Searching every miss makes 1,602 calls here.
+    real = rescheck.oracle.solve_s0_bruteforce
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def no_restrict(*args, **kwargs):
+        raise AssertionError("restrict called")
+
+    monkeypatch.setattr(rescheck.oracle, "solve_s0_bruteforce", counted)
+    monkeypatch.setattr(rescheck.oracle, "restrict", no_restrict)
+    monkeypatch.setattr(rescheck.policy, "restrict", no_restrict)
+    assert run_sweep(SMALL).ok
+    assert len(calls) == 1146
 
 
 def test_wrong_non_oracle_blocker_is_flagged(monkeypatch):
