@@ -44,7 +44,11 @@ others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
 class counting while 2^|P| fits max_classes, else the pivot search) that
 "auto" and the searches' choice of inner core both read. On the pivot
 rung, auto runs branch_solve at every s, whose search size does not
-depend on |P|; at s=0 that search makes one inner call.
+depend on |P|; at s=0 that search makes one inner call. At s > 0 on
+the other two rungs auto picks the search per instance (_auto): it
+counts the deletion vectors reduced_solve would visit, from the
+_candidates table, and weighs them against branch_solve's node bound
+and core calls.
 """
 
 from __future__ import annotations
@@ -212,7 +216,12 @@ def _blocker(removed_mask: int, n: int) -> BlockerSet:
     return BlockerSet(frozenset(u for u in range(n) if removed_mask >> u & 1))
 
 
-def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def branch_solve(
+    inst: Instance,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    classes: dict[int, tuple[int, ...]] | None = None,
+) -> Verdict:
     """Branching search for a blocker of size at most s.
 
     At every node, solve the zero-removal query on the surviving users.
@@ -236,9 +245,12 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     the removals only in the user removed last, so a swap for that
     member is always tried. Every other node asks _solve_survivors, so
     the witness and the branching order are the core's alone.
+
+    classes, when given, is _candidates(inst), built by the caller.
     """
     require_normalized(inst)
-    classes = _candidates(inst)
+    if classes is None:
+        classes = _candidates(inst)
     rung = _rung(inst, limits)
     core = teams.s0_core(inst, rung, limits)
     stats = SolveStats(algorithm=f"branch+{rung}")
@@ -270,7 +282,12 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     return Verdict(SAT, witness, stats)
 
 
-def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def reduced_solve(
+    inst: Instance,
+    *,
+    limits: Limits = DEFAULT_LIMITS,
+    classes: dict[int, tuple[int, ...]] | None = None,
+) -> Verdict:
     """Blocker search over per-class deletion counts.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
@@ -289,6 +306,8 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     when a team set found earlier avoids the removals, or meets them in
     one user whom a swap replaces. Every other node asks
     _solve_survivors, so nodes and blockers are as without the screen.
+
+    classes, when given, is _candidates(inst), built by the caller.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -296,7 +315,8 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    classes = _candidates(inst)
+    if classes is None:
+        classes = _candidates(inst)
     rung = _rung(inst, limits)
     core = teams.s0_core(inst, rung, limits)
     stats = SolveStats(algorithm=f"reduced+{rung}")
@@ -395,15 +415,69 @@ STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
 }
 
 
-def _auto(inst: Instance, limits: Limits) -> str:
+# _auto prices one core call at min(B, _CORE_NODES) screened nodes, B
+# being branch's node bound: B grows with s, while a core call's cost
+# does not. At s <= 2 with d*t <= 9, B is at most 91, so the cap leaves
+# those instances priced at B.
+_CORE_NODES = 100
+
+
+def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int) -> int:
+    # The number of deletion vectors reduced_solve visits, its node count
+    # when it answers SAT, or some number above cap. A class offers
+    # k = 1..min(|class|, d) deletions at a cost of k plus its spare
+    # users, and a vector costs at most s in total; a class that fills
+    # its d + s _candidates has s spares, so it offers none. ways[c]
+    # counts the vectors of cost c over the classes seen so far, each
+    # class read against the old counts below c, top cost first.
+    d, s = inst.d, inst.s
+    ways = [1] + [0] * s
+    total = 1
+    for users in classes.values():
+        spare = max(len(users) - d, 0)
+        most = min(len(users), d)
+        for c in range(s, spare, -1):
+            more = sum(ways[max(c - spare - most, 0) : c - spare])
+            ways[c] += more
+            total += more
+        if total > cap:
+            break
+    return total
+
+
+def _auto(
+    inst: Instance, limits: Limits
+) -> tuple[str, dict[int, tuple[int, ...]] | None]:
+    """The strategy "auto" runs on inst, and the _candidates table when
+    the choice built it.
+
+    The fast path where it applies; else on the pivot rung branch, and
+    at s=0 the rung's own solver. At s > 0 on the dp and ilp rungs,
+    reduced visits the _vector_count vectors V and calls the core about
+    once, while branch visits at most B = sum over i <= s of (d*t)^i
+    nodes and calls the core at up to I = sum over i < s of (d*t)^i of
+    them. One core call costs about as much as min(B, _CORE_NODES)
+    screened nodes, so reduced is taken when
+    V <= B + (I - 1) * min(B, _CORE_NODES), which is V <= B*I while
+    B <= _CORE_NODES (at s = 1, I = 1: the search with fewer nodes).
+    branch is taken otherwise, or when 2^|P| is past max_classes, where
+    reduced refuses the instance.
+    """
     if outside_domain(inst, "fastpath") is None:
-        return "fastpath"
+        return "fastpath", None
     rung = _rung(inst, limits)
     if rung == "pivot":
-        return "branch"
+        return "branch", None
     if inst.s == 0:
-        return rung
-    return "branch" if rung == "dp" else "reduced"
+        return rung, None
+    if (1 << inst.num_resources) > limits.max_classes:
+        return "branch", None
+    r = inst.d * inst.t
+    inner = inst.s if r == 1 else (r**inst.s - 1) // (r - 1)
+    nodes = r * inner + 1
+    cap = nodes + (inner - 1) * min(nodes, _CORE_NODES)
+    classes = _candidates(inst)
+    return "reduced" if _vector_count(inst, classes, cap) <= cap else "branch", classes
 
 
 def solve(
@@ -412,16 +486,20 @@ def solve(
     """Dispatch to a solver; "auto" picks by parameter shape.
 
     auto prefers the coverage fast path (d=1, unbounded t), then walks
-    the budget ladder: with s=0 its rungs are dp and ilp, with s>0 the
-    branching search (dp inner solver) and the class-reduced search (ilp
-    inner solver); past them it takes the branching search over the
+    the budget ladder: with s=0 its rungs are dp and ilp, with s>0 they
+    are the inner solvers of the branching search or the class-reduced
+    search, picked per instance by their counted and bounded search
+    sizes (see _auto); past them it takes the branching search over the
     pivot search at every s. The verdict's stats name the route taken. A
     named strategy outside the instance's domain (see outside_domain)
     raises PreconditionError.
     """
     require_normalized(inst)
     if strategy == "auto":
-        strategy = _auto(inst, limits)
+        strategy, classes = _auto(inst, limits)
+        if classes is not None:
+            search = branch_solve if strategy == "branch" else reduced_solve
+            return search(inst, limits=limits, classes=classes)
     try:
         runner = STRATEGIES[strategy]
     except KeyError:

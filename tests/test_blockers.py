@@ -41,9 +41,11 @@ from rescheck import (
     verify_witness,
 )
 from rescheck.blockers import (
+    _auto,
     _candidates,
     _rung,
     _solve_survivors,
+    _vector_count,
     outside_domain,
 )
 
@@ -370,9 +372,35 @@ class TestRouting:
         v = solve(x, limits=Limits(dp_bits=1))
         assert v.stats.algorithm == "ilp"
 
-    def test_auto_uses_branching_for_removals(self):
-        x = norm([[0], [0]], p=1, s=1, d=2, t=1)
-        assert solve(x).stats.algorithm.startswith("branch+")
+    @pytest.mark.parametrize("rung", ["dp", "ilp"])
+    @pytest.mark.parametrize(
+        "rows, p, s, d, t, vectors, search",
+        [
+            # V = 2 (the root, and u0 deleted) <= B*I = 3 * 1
+            ([[0], [0]], 1, 1, 2, 1, 2, "reduced"),
+            # V = 4 (the root, and one of three one-user classes
+            # deleted) > B*I = 2 * 1
+            ([[0], [1], [0, 1]], 2, 1, 1, 1, 4, "branch"),
+            # V = 4 > B = 3, but V <= B*I = 3 * 2
+            ([[0], [0, 1]], 2, 2, 1, 1, 4, "reduced"),
+            # 47 one-user classes: V = 1 + 47 + 47*46/2 = 1129 <= B*I =
+            # 111 * 11, but B > 100 and V > 111 + 10 * 100
+            ([[r for r in range(6) if m >> r & 1] for m in range(1, 48)], 6, 2, 2, 5,
+             1129, "branch"),
+        ],
+        ids=["reduced", "branch", "reduced-within-core-calls", "core-price-capped"],
+    )
+    def test_auto_weighs_reduced_vectors_against_branch_nodes(
+        self, rows, p, s, d, t, vectors, search, rung
+    ):
+        # at s > 0, reduced when its vector count V is at most
+        # B + (I - 1) * min(B, 100), branch's node bound
+        # B = sum over i <= s of (d*t)^i plus its core calls beyond the
+        # root, I = sum over i < s of (d*t)^i, each priced at min(B, 100)
+        # nodes; while B <= 100 that is V <= B*I
+        x = norm(rows, p=p, s=s, d=d, t=t)
+        assert _vector_count(x, _candidates(x), 10**9) == vectors
+        assert _auto(x, RUNGS[rung])[0] == search
 
     def test_auto_uses_reduction_when_bits_run_out(self):
         x = norm([[0], [0]], p=1, s=1, d=2, t=1)
@@ -651,3 +679,45 @@ def test_a_chain_deeper_than_the_recursion_limit():
     v = branch_solve(x)
     assert v.sat and v.witness is None
     assert v.stats.nodes == 1201
+
+
+@st.composite
+def classed_instances(draw):
+    # A class reaching every resource and up to three others, of up to
+    # six users each, in shuffled order, so that spare users, and budgets
+    # that reach or miss them, are common, and so are SAT answers. Every
+    # instance fits the class budget.
+    p = draw(st.sampled_from([1, 2, 3]))
+    full = (1 << p) - 1
+    classes = draw(
+        st.lists(st.tuples(st.integers(1, full), st.integers(1, 6)), max_size=3)
+    )
+    classes.append((full, draw(st.integers(1, 6))))
+    access = draw(st.permutations([mask for mask, size in classes for _ in range(size)]))
+    return normalize(
+        Instance(
+            access=tuple(access),
+            num_resources=p,
+            target=full,
+            s=draw(st.sampled_from([0, 1, 2, 3])),
+            d=draw(st.sampled_from([1, 2, 3])),
+            t=draw(st.sampled_from([1, 2, 3, INF])),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(classed_instances())
+def test_vector_count_is_the_reduced_node_count(y):
+    # auto's count is exactly the number of nodes reduced visits when it
+    # answers SAT, and bounds it when it finds a blocker first; with a
+    # cap below the count, the count stops at some number above the cap
+    v = reduced_solve(y)
+    classes = _candidates(y)
+    count = _vector_count(y, classes, 10**9)
+    if v.sat:
+        assert count == v.stats.nodes
+    else:
+        assert count >= v.stats.nodes
+    assert _vector_count(y, classes, count) == count
+    assert _vector_count(y, classes, count - 1) > count - 1

@@ -119,6 +119,9 @@ class TestSolve:
             "--seed", "1", "--out", path,
         ]) == EXIT_SAT
         capsys.readouterr()
+        assert main(["solve", path, "--algorithm", "reduced"]) == EXIT_BUDGET
+        assert "error: configuration budget" in capsys.readouterr().err
+        # auto takes branch+ilp here, whose core has the same budget
         assert main(["solve", path]) == EXIT_BUDGET
         assert "error: configuration budget" in capsys.readouterr().err
 
