@@ -1,29 +1,19 @@
 """Solvers for the general query with a removal budget s > 0, and routing.
 
-Both searches try removal sets and put the zero-removal question to an
-inner s=0 core through one step, _solve_survivors, a function of the
-removal set alone. Whether that question is SAT depends only on how
-many survivors each neighborhood class keeps, capped at d, so the core
-sees only the first min(|class|, d) survivors of every occupied class,
-and its teams are in the caller's numbering. Both searches read the
-classes from one table, _candidates, cut from class_partition. The pass
-that picks those survivors also screens supply: d disjoint covering
-teams need d distinct survivors who reach each resource, so a resource
-with fewer is UNSAT with no core call.
-
-The other screen, _stored_covers, answers SAT from the team sets a
-search has already found. Each search keeps every team set its core
-returns, with the set's members as a bitmask. d disjoint covering teams
-of at most t users that avoid a removal set prove that set no blocker,
-so a node that needs only the answer is SAT with no core call when a
-stored set avoids its removals. A stored set that meets them in exactly
-one user u needs one swap (_swap_covers): u's team without u misses the
-resources only u reached, and a user who is neither removed nor in a
-team and reaches all of them takes u's place, which gives d disjoint
-covering teams of at most t users again. The screen answers SAT only
-where the core would, so every node answers as before; nodes that need
-teams still ask the core, so witnesses and branching orders are the
-core's.
+Both searches are one depth-first search over removal sets, _search,
+each with its own child rule: branch_solve branches on the members of
+the team set each node finds, reduced_solve enumerates how many
+representatives to delete per class. Every node puts the zero-removal
+question to an inner s=0 core through one step, _solve_survivors, a
+function of the removal set alone. Whether that question is SAT depends
+only on how many survivors each neighborhood class keeps, capped at d,
+so the core sees only the first min(|class|, d) survivors of every
+occupied class, and its teams are in the caller's numbering. Both
+searches read the classes from one table, _candidates, cut from
+class_partition. The pass that picks those survivors also screens
+supply: a resource with fewer than d surviving reachers is UNSAT with
+no core call. Nodes that need no teams are first screened against the
+team sets the search has already found (_stored_covers).
 
 The core is teams.s0_core of the rung the budget ladder picks, the same
 core that the dp and ilp routes run once on every user: a function of
@@ -31,12 +21,8 @@ the kept users alone, core(kept), which returns its teams whenever it
 answers SAT. It runs on bare data, with no sub-instance: the dp search
 or the pivot search on the kept users' masks, or the configuration
 search over one configuration list per search with the kept users'
-class sizes as capacities. branch_solve picks removals from the team
-sets it finds, on an explicit stack; reduced_solve enumerates how many
-representatives to delete per class, one recursion level per deletion,
-so its depth stays within s + 1 however many classes there are.
-fastpath_d1_tinf answers the single-team unbounded-size case by
-counting coverage.
+class sizes as capacities. fastpath_d1_tinf answers the single-team
+unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -47,7 +33,7 @@ rung, auto runs branch_solve at every s, whose search size does not
 depend on |P|; at s=0 that search makes one inner call. At s > 0 on
 the other two rungs auto picks the search per instance (_auto): it
 counts the deletion vectors reduced_solve would visit, from the
-_candidates table, and weighs them against branch_solve's node bound
+_touchable table, and weighs them against branch_solve's node bound
 and core calls.
 """
 
@@ -106,28 +92,44 @@ def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
     return {mask: users[:keep] for mask, users in class_partition(inst).items() if mask}
 
 
+def _touchable(
+    inst: Instance, classes: dict[int, tuple[int, ...]]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    # Per class that a deletion can touch within the budget, in class
+    # bitmask order: its representatives, the mask of its spare users
+    # and their number. Deleting k representatives costs k plus every
+    # spare. _candidates keeps a class's first d + s members; a class
+    # that fills them costs at least s + 1 to touch.
+    d, s = inst.d, inst.s
+    table = []
+    for users in classes.values():
+        if len(users) < d + s:
+            spares = users[d:]
+            table.append((users[:d], sum(1 << u for u in spares), len(spares)))
+    return table
+
+
 def _swap_covers(
     inst: Instance,
     classes: dict[int, tuple[int, ...]],
-    teams: TeamSet,
+    found: TeamSet,
+    taken: int,
     u: int,
-    removed_mask: int,
 ) -> bool:
-    # teams avoid every removal in removed_mask but u, who sits in one
-    # of them. That team without u misses the resources only u reached;
-    # a class reaching all of them, with a user neither removed nor in a
-    # team, gives the swap that restores d disjoint covering teams of at
-    # most t users. A False says nothing about the answer.
+    # found's teams avoid every removal but u, who sits in one of them;
+    # taken holds the removals and every member of found. u's team
+    # without u misses the resources only u reached; a class reaching
+    # all of them, with a user not taken, gives the swap that restores
+    # d disjoint covering teams of at most t users. A False says nothing
+    # about the answer.
     access = inst.access
     lost = inst.target
-    taken = removed_mask
-    for team in teams.teams:
-        for w in team:
-            taken |= 1 << w
+    for team in found.teams:
         if u in team:
             for w in team:
                 if w != u:
                     lost &= ~access[w]
+            break
     if not lost:
         return True
     for mask, users in classes.items():
@@ -153,19 +155,10 @@ def _stored_covers(
         if not hit:
             return True
         if not hit & (hit - 1) and _swap_covers(
-            inst, classes, found, hit.bit_length() - 1, removed_mask
+            inst, classes, found, members | removed_mask, hit.bit_length() - 1
         ):
             return True
     return False
-
-
-def _stored(found: TeamSet) -> tuple[int, TeamSet]:
-    # A store entry: the members of found as a bitmask, and found.
-    members = 0
-    for team in found.teams:
-        for w in team:
-            members |= 1 << w
-    return members, found
 
 
 def _solve_survivors(
@@ -173,7 +166,7 @@ def _solve_survivors(
     core: Callable,
     classes: dict[int, tuple[int, ...]],
     removed_mask: int,
-) -> tuple[bool, TeamSet | None]:
+) -> TeamSet | None:
     """The zero-removal query on the users left after removed_mask.
 
     One pass over the _candidates classes keeps the first
@@ -185,8 +178,7 @@ def _solve_survivors(
     exactly. Otherwise the rung's core runs on the kept users in
     ascending index; no solver picks a user outside that set, so its
     teams are the ones it would find on all survivors. Returns the
-    answer and the core's teams in the caller's numbering, None on
-    UNSAT.
+    core's teams in the caller's numbering, None on UNSAT.
     """
     d = inst.d
     kept: list[int] = []
@@ -206,14 +198,70 @@ def _solve_survivors(
         for k in range(d - 1, -1, -1):
             reach[k] |= mask if k < count else mask & reach[k - count]
     if reach[-1] != inst.target:
-        return False, None
+        return None
     kept.sort()
-    sat, found, _ = core(kept)
-    return sat, found
+    return core(kept)[1]
 
 
-def _blocker(removed_mask: int, n: int) -> BlockerSet:
-    return BlockerSet(frozenset(u for u in range(n) if removed_mask >> u & 1))
+def _search(
+    inst: Instance,
+    limits: Limits,
+    classes: dict[int, tuple[int, ...]],
+    route: str,
+    expand: Callable,
+    root: object,
+    explored: set[int] | None = None,
+) -> Verdict:
+    """The depth-first removal search under branch_solve and reduced_solve.
+
+    A node is (removed_mask, needs_teams, state): its removal set as a
+    bitmask of users, whether its child rule reads its teams, and what
+    else the rule reads, which is root at the root. The root needs
+    teams. expand(removed_mask, state, found) lists a node's children in
+    visiting order; found is the node's team set, None when the screen
+    answered the node. The search runs on an explicit stack in the order
+    a recursion would take, so its depth is not bounded by the recursion
+    limit. The first node whose survivors hold no team set is a blocker:
+    UNSAT with that removal set. Otherwise SAT, with the root's teams as
+    the witness at s=0. explored, when given, holds the removal sets
+    visited so far; a revisit counts as a node and ends there.
+
+    Every node that needs teams asks _solve_survivors, so the witness
+    and the branching orders are the core's. The search stores every
+    team set the core returns, with its members as a bitmask. d disjoint
+    covering teams of at most t users that avoid a removal set prove it
+    no blocker, so _stored_covers answers a node that needs no teams SAT
+    with no core call when a stored set avoids its removals, or meets
+    them in one user whom a swap replaces (_swap_covers). The screen
+    answers SAT only where the core would, so node counts and blockers
+    are as without it.
+    """
+    rung = _rung(inst, limits)
+    core = teams.s0_core(inst, rung, limits)
+    stats = SolveStats(algorithm=f"{route}+{rung}")
+    store: list[tuple[int, TeamSet]] = []
+    stack = [(0, True, root)]
+    while stack:
+        removed_mask, needs_teams, state = stack.pop()
+        stats.nodes += 1
+        if explored is not None:
+            if removed_mask in explored:
+                continue
+            explored.add(removed_mask)
+        found = None
+        if needs_teams or not _stored_covers(inst, classes, store, removed_mask):
+            found = _solve_survivors(inst, core, classes, removed_mask)
+            if found is None:
+                blocker = frozenset(u for u in range(inst.n) if removed_mask >> u & 1)
+                return Verdict(UNSAT, BlockerSet(blocker), stats)
+            members = 0
+            for team in found.teams:
+                for w in team:
+                    members |= 1 << w
+            store.append((members, found))
+        stack.extend(reversed(expand(removed_mask, state, found)))
+    witness = store[0][1] if inst.s == 0 else None
+    return Verdict(SAT, witness, stats)
 
 
 def branch_solve(
@@ -222,64 +270,35 @@ def branch_solve(
     limits: Limits = DEFAULT_LIMITS,
     classes: dict[int, tuple[int, ...]] | None = None,
 ) -> Verdict:
-    """Branching search for a blocker of size at most s.
+    """Branching search for a blocker of size at most s, on _search.
 
-    At every node, solve the zero-removal query on the surviving users.
-    No team set means the removals so far are a blocker: UNSAT. If team
-    sets survive every removal branch up to depth s, no blocker fits
-    the budget on this path. Any blocker must hit the team set just
-    found, so branching on its at most d*t members is exhaustive; that
-    caps the tree at sum over i<=s of (d*t)^i nodes. Each removal set
-    is explored once: the subtree outcome depends only on the set (its
-    size fixes the remaining budget), and a set that held a blocker
-    ends the search, so a revisit along another branching order finds
-    none. The search is depth-first on an explicit stack, in the order
-    a recursion would take, so s is not bounded by the recursion limit.
-
-    The core's teams, and with them the branching order, are the ones
-    it would find on all survivors (see _solve_survivors). Nodes with
-    no budget left, the root apart, need only the answer, and
-    _stored_covers answers them SAT with no core call when a team set
-    found earlier avoids the removals, or meets them in one user whom a
-    swap replaces. The parent's teams are always in the store and meet
-    the removals only in the user removed last, so a swap for that
-    member is always tried. Every other node asks _solve_survivors, so
-    the witness and the branching order are the core's alone.
+    The child rule: a node with budget left has one child per member of
+    its team set, in ascending index, each with one less budget, and a
+    child needs teams while it still has budget. Any blocker must hit
+    the team set just found, so branching on its at most d*t members is
+    exhaustive; that caps the tree at sum over i<=s of (d*t)^i nodes.
+    The parent's teams are always in the store and meet a leaf's
+    removals only in the user removed last, so a swap for that member is
+    always tried. Each removal set is explored once: the subtree outcome
+    depends only on the set (its size fixes the remaining budget), and a
+    set that held a blocker ends the search, so a revisit along another
+    branching order finds none.
 
     classes, when given, is _candidates(inst), built by the caller.
     """
     require_normalized(inst)
     if classes is None:
         classes = _candidates(inst)
-    rung = _rung(inst, limits)
-    core = teams.s0_core(inst, rung, limits)
-    stats = SolveStats(algorithm=f"branch+{rung}")
-    store: list[tuple[int, TeamSet]] = []
-    explored: set[int] = set()
-    # Children left to visit at each open node, as (removal mask, budget).
-    pending = [iter([(0, inst.s)])]
-    while pending:
-        child = next(pending[-1], None)
-        if child is None:
-            pending.pop()
-            continue
-        removed_mask, budget = child
-        stats.nodes += 1
-        if removed_mask in explored:
-            continue
-        explored.add(removed_mask)
-        # The store is empty at the root, whose teams are the s=0 witness.
-        if not budget and _stored_covers(inst, classes, store, removed_mask):
-            continue
-        sat, found = _solve_survivors(inst, core, classes, removed_mask)
-        if not sat:
-            return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
-        store.append(_stored(found))
-        if budget:
-            members = sorted(set().union(*found.teams))
-            pending.append(iter([(removed_mask | 1 << w, budget - 1) for w in members]))
-    witness = store[0][1] if inst.s == 0 else None
-    return Verdict(SAT, witness, stats)
+
+    def branches(removed_mask: int, budget: int, found: TeamSet | None) -> list:
+        if not budget:
+            return []
+        return [
+            (removed_mask | 1 << w, budget > 1, budget - 1)
+            for w in sorted(set().union(*found.teams))
+        ]
+
+    return _search(inst, limits, classes, "branch", branches, inst.s, explored=set())
 
 
 def reduced_solve(
@@ -288,7 +307,7 @@ def reduced_solve(
     limits: Limits = DEFAULT_LIMITS,
     classes: dict[int, tuple[int, ...]] | None = None,
 ) -> Verdict:
-    """Blocker search over per-class deletion counts.
+    """Blocker search over per-class deletion counts, on _search.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
     representatives, preserves the answer: teams never need more than d
@@ -296,16 +315,13 @@ def reduced_solve(
     fewer than d of its users, so it can be taken to delete the first k
     representatives together with every spare, non-representative user
     of that class, and all of those are charged against the budget.
-    Enumerate per-class deletion counts in class bitmask order, skip
-    vectors whose total cost exceeds s, and put the zero-removal query
-    to the survivors. The removal set of the first vector that blocks
-    is the witness; at s=0 the root's teams are.
 
-    Only the root's teams can be needed, so every other node needs only
-    the answer, and _stored_covers answers it SAT with no core call
-    when a team set found earlier avoids the removals, or meets them in
-    one user whom a swap replaces. Every other node asks
-    _solve_survivors, so nodes and blockers are as without the screen.
+    The child rule visits the deletion vectors of total cost at most s
+    in lexicographic order of their per-class counts, classes in
+    bitmask order (_touchable): a node's children add k = 1, 2, ...
+    deletions in one class after the last class it touches, the last
+    class first, and no node but the root needs teams. The removal set
+    of the first vector that blocks is the witness.
 
     classes, when given, is _candidates(inst), built by the caller.
     """
@@ -317,51 +333,26 @@ def reduced_solve(
         )
     if classes is None:
         classes = _candidates(inst)
-    rung = _rung(inst, limits)
-    core = teams.s0_core(inst, rung, limits)
-    stats = SolveStats(algorithm=f"reduced+{rung}")
-    d, s = inst.d, inst.s
+    touchable = _touchable(inst, classes)
+    s = inst.s
 
-    # Per class that a deletion can touch within the budget, in class
-    # bitmask order: its representatives, the mask of its spare users
-    # and their number. _candidates keeps a class's first d + s members;
-    # a class that fills them costs at least s + 1 to touch.
-    touchable: list[tuple[tuple[int, ...], int, int]] = []
-    for users in classes.values():
-        if len(users) < d + s:
-            spares = users[d:]
-            touchable.append((users[:d], sum(1 << u for u in spares), len(spares)))
-    stats.extras["reduced_users"] = sum(min(len(users), d) for users in classes.values())
-    store: list[tuple[int, TeamSet]] = []
-
-    def search(start: int, cost: int, removed_mask: int) -> Verdict | None:
-        # Deletion vectors in lexicographic order of their per-class
-        # counts, one call per deletion: the vector that deletes nothing
-        # beyond removed_mask, then those whose first further deletion
-        # is in the last class, and so on back to class start. The store
-        # is empty at the root.
-        stats.nodes += 1
-        if not _stored_covers(inst, classes, store, removed_mask):
-            sat, found = _solve_survivors(inst, core, classes, removed_mask)
-            if not sat:
-                return Verdict(UNSAT, _blocker(removed_mask, inst.n), stats)
-            store.append(_stored(found))
+    def deletions(removed_mask: int, state: tuple[int, int], found: TeamSet | None) -> list:
+        start, cost = state
+        children = []
         for idx in range(len(touchable) - 1, start - 1, -1):
             reps, drop, spare = touchable[idx]
             for k in range(1, len(reps) + 1):
                 if cost + k + spare > s:
                     break  # larger k only costs more
                 drop |= 1 << reps[k - 1]
-                result = search(idx + 1, cost + k + spare, removed_mask | drop)
-                if result is not None:
-                    return result
-        return None
+                children.append((removed_mask | drop, False, (idx + 1, cost + k + spare)))
+        return children
 
-    found = search(0, 0, 0)
-    if found is not None:
-        return found
-    witness = store[0][1] if s == 0 else None
-    return Verdict(SAT, witness, stats)
+    verdict = _search(inst, limits, classes, "reduced", deletions, (0, 0))
+    verdict.stats.extras["reduced_users"] = sum(
+        min(len(users), inst.d) for users in classes.values()
+    )
+    return verdict
 
 
 def fastpath_d1_tinf(inst: Instance) -> Verdict:
@@ -424,18 +415,16 @@ _CORE_NODES = 100
 
 def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int) -> int:
     # The number of deletion vectors reduced_solve visits, its node count
-    # when it answers SAT, or some number above cap. A class offers
-    # k = 1..min(|class|, d) deletions at a cost of k plus its spare
-    # users, and a vector costs at most s in total; a class that fills
-    # its d + s _candidates has s spares, so it offers none. ways[c]
-    # counts the vectors of cost c over the classes seen so far, each
-    # class read against the old counts below c, top cost first.
-    d, s = inst.d, inst.s
+    # when it answers SAT, or some number above cap. A _touchable class
+    # offers k = 1..len(reps) deletions at a cost of k plus its spare
+    # users, and a vector costs at most s in total. ways[c] counts the
+    # vectors of cost c over the classes seen so far, each class read
+    # against the old counts below c, top cost first.
+    s = inst.s
     ways = [1] + [0] * s
     total = 1
-    for users in classes.values():
-        spare = max(len(users) - d, 0)
-        most = min(len(users), d)
+    for reps, _, spare in _touchable(inst, classes):
+        most = len(reps)
         for c in range(s, spare, -1):
             more = sum(ways[max(c - spare - most, 0) : c - spare])
             ways[c] += more

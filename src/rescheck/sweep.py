@@ -99,8 +99,7 @@ def _blocker_class_gap(inst: Instance, blocker: BlockerSet) -> str | None:
 
 
 class _Runner:
-    def __init__(self, config: SweepConfig, report: SweepReport):
-        self.config = config
+    def __init__(self, report: SweepReport):
         self.report = report
 
     def stop(self) -> bool:
@@ -226,7 +225,7 @@ def _team_sizes(config: SweepConfig, p: int) -> list[int]:
 def run_sweep(config: SweepConfig = SweepConfig(), *, progress=None) -> SweepReport:
     """Run both grids; any Disagreement in the report is a bug witness."""
     report = SweepReport()
-    runner = _Runner(config, report)
+    runner = _Runner(report)
     start = time.perf_counter()
 
     for n in range(1, config.max_n + 1):

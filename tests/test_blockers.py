@@ -609,7 +609,7 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
 
         got = _solve_survivors(y, recorded, _candidates(y), removed_mask)
         assert asked == ([] if starved else [kept])
-        assert got == ((False, None) if starved else (sat, found))
+        assert got == (None if starved else found)
 
 
 @pytest.mark.parametrize("solver", [branch_solve, reduced_solve])
@@ -721,3 +721,48 @@ def test_vector_count_is_the_reduced_node_count(y):
         assert count >= v.stats.nodes
     assert _vector_count(y, classes, count) == count
     assert _vector_count(y, classes, count - 1) > count - 1
+
+
+def _reduced_reference(x):
+    # reduced's deletion vectors, in its visiting order, by recursion
+    # over class_partition: a vector, then, for each class after the
+    # last one it touches, last class first, each count k = 1, 2, ...
+    # that fits the budget, with every vector below it. A touched class
+    # loses its first k users and every user past its first d. Returns
+    # the first blocking removal set, or None, and the vectors visited.
+    parts = [users for mask, users in class_partition(x).items() if mask]
+    visits = 0
+
+    def visit(first, cost, removed):
+        nonlocal visits
+        visits += 1
+        survivors = [u for u in range(x.n) if u not in removed]
+        if not solve_s0_bruteforce(restrict(x, survivors), user_limit=None).sat:
+            return removed
+        for c in reversed(range(first, len(parts))):
+            users = parts[c]
+            spares = users[x.d :]
+            for k in range(1, min(len(users), x.d) + 1):
+                if cost + k + len(spares) > x.s:
+                    break
+                deleted = removed | set(users[:k]) | set(spares)
+                got = visit(c + 1, cost + k + len(spares), deleted)
+                if got is not None:
+                    return got
+        return None
+
+    blocker = visit(0, 0, frozenset())
+    return blocker, visits
+
+
+@settings(max_examples=300, deadline=None)
+@given(classed_instances())
+def test_reduced_visits_vectors_in_the_reference_order(y):
+    # reduced answers as the recursive reference does, blocks on the
+    # same first vector, and visits as many vectors to get there
+    v = reduced_solve(y)
+    blocker, visits = _reduced_reference(y)
+    assert v.sat == (blocker is None)
+    assert v.stats.nodes == visits
+    if blocker is not None:
+        assert v.witness == BlockerSet(frozenset(blocker))

@@ -110,8 +110,8 @@ class TestSolve:
         assert "solver bug" in captured.err
 
     def test_many_classes_exit_on_the_budget_not_a_crash(self, tmp_path, capsys):
-        # 1208 occupied classes: reduced+ilp must not recurse once per
-        # class; the configuration budget stops it first
+        # 1208 occupied classes: the configuration budget stops
+        # reduced+ilp with exit 3 at the root's core call
         path = str(tmp_path / "x.json")
         assert main([
             "generate", "random", "--users", "3000", "--resources", "11",
