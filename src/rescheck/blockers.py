@@ -2,27 +2,28 @@
 
 Both searches are one depth-first search over removal sets, _search,
 each with its own child rule: branch_solve branches on the members of
-the team set each node finds, reduced_solve enumerates how many
-representatives to delete per class. Every node puts the zero-removal
-question to an inner s=0 core through one step, _solve_survivors, a
-function of the removal set alone. Whether that question is SAT depends
-only on how many survivors each neighborhood class keeps, capped at d,
-so the core sees only the first min(|class|, d) survivors of every
-occupied class, and its teams are in the caller's numbering. Both
-searches read the classes from one table, _candidates, cut from
-class_partition. The pass that picks those survivors also screens
-supply: a resource with fewer than d surviving reachers is UNSAT with
-no core call. Nodes that need no teams are first screened against the
-team sets the search has already found (_stored_covers).
+the team set each node finds, handed over as the bitmask the search
+keeps for its store, reduced_solve enumerates how many representatives
+to delete per class. Every node puts the zero-removal question to an
+inner s=0 core through one step, _solve_survivors, a function of the
+removal set alone. Whether that question is SAT depends only on how
+many survivors each neighborhood class keeps, capped at d, so the core
+sees only the first min(|class|, d) survivors of every occupied class,
+and its teams are in the caller's numbering. Both searches read the
+classes from one table, _candidates: class_partition without class 0.
+The pass that picks those survivors also screens supply: a resource
+with fewer than d surviving reachers is UNSAT with no core call. Nodes
+that need no teams are first screened against the team sets the search
+has already found (_stored_covers).
 
 The core is teams.s0_core of the rung the budget ladder picks, the same
 core that the dp and ilp routes run once on every user: a function of
-the kept users alone, core(kept), which returns its teams whenever it
-answers SAT. It runs on bare data, with no sub-instance: the dp search
-or the pivot search on the kept users' masks, or the configuration
-search over one configuration list per search with the kept users'
-class sizes as capacities. fastpath_d1_tinf answers the single-team
-unbounded-size case by counting coverage.
+the kept users alone, core(kept), which returns (teams | None, nodes),
+None exactly on UNSAT. It runs on bare data, with no sub-instance: the
+dp search, the pivot search or the configuration search on the kept
+users' masks, the last over one configuration list per search with the
+kept users' class sizes as capacities. fastpath_d1_tinf answers the
+single-team unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -85,11 +86,9 @@ def _rung(inst: Instance, limits: Limits) -> str:
 
 
 def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
-    # The users that may survive as representatives, by class in mask
-    # order. At most s removals, so the first d survivors of a class are
-    # among its first d + s members; class 0 users appear in no useful team.
-    keep = inst.d + inst.s
-    return {mask: users[:keep] for mask, users in class_partition(inst).items() if mask}
+    # The users of each class in mask order; class 0 users appear in no
+    # useful team.
+    return {mask: users for mask, users in class_partition(inst).items() if mask}
 
 
 def _touchable(
@@ -98,8 +97,8 @@ def _touchable(
     # Per class that a deletion can touch within the budget, in class
     # bitmask order: its representatives, the mask of its spare users
     # and their number. Deleting k representatives costs k plus every
-    # spare. _candidates keeps a class's first d + s members; a class
-    # that fills them costs at least s + 1 to touch.
+    # spare, so a class of d + s or more users costs at least s + 1 to
+    # touch.
     d, s = inst.d, inst.s
     table = []
     for users in classes.values():
@@ -200,7 +199,7 @@ def _solve_survivors(
     if reach[-1] != inst.target:
         return None
     kept.sort()
-    return core(kept)[1]
+    return core(kept)[0]
 
 
 def _search(
@@ -215,16 +214,18 @@ def _search(
     """The depth-first removal search under branch_solve and reduced_solve.
 
     A node is (removed_mask, needs_teams, state): its removal set as a
-    bitmask of users, whether its child rule reads its teams, and what
-    else the rule reads, which is root at the root. The root needs
-    teams. expand(removed_mask, state, found) lists a node's children in
-    visiting order; found is the node's team set, None when the screen
-    answered the node. The search runs on an explicit stack in the order
-    a recursion would take, so its depth is not bounded by the recursion
-    limit. The first node whose survivors hold no team set is a blocker:
-    UNSAT with that removal set. Otherwise SAT, with the root's teams as
-    the witness at s=0. explored, when given, holds the removal sets
-    visited so far; a revisit counts as a node and ends there.
+    bitmask of users, whether its child rule reads its team set, and
+    what else the rule reads, which is root at the root. The root needs
+    teams. expand(removed_mask, state, members) lists a node's children
+    in visiting order; members is the bitmask of the users in the node's
+    team set, the one the store keeps, and 0 when the screen answered
+    the node. The search runs on an explicit stack in the order a
+    recursion would take, so its depth is not bounded by the recursion
+    limit. The first node whose survivors hold no team set, where the
+    core answers None, is a blocker: UNSAT with that removal set.
+    Otherwise SAT, with the root's teams as the witness at s=0. explored,
+    when given, holds the removal sets visited so far; a revisit counts
+    as a node and ends there.
 
     Every node that needs teams asks _solve_survivors, so the witness
     and the branching orders are the core's. The search stores every
@@ -248,18 +249,17 @@ def _search(
             if removed_mask in explored:
                 continue
             explored.add(removed_mask)
-        found = None
+        members = 0
         if needs_teams or not _stored_covers(inst, classes, store, removed_mask):
             found = _solve_survivors(inst, core, classes, removed_mask)
             if found is None:
                 blocker = frozenset(u for u in range(inst.n) if removed_mask >> u & 1)
                 return Verdict(UNSAT, BlockerSet(blocker), stats)
-            members = 0
             for team in found.teams:
                 for w in team:
                     members |= 1 << w
             store.append((members, found))
-        stack.extend(reversed(expand(removed_mask, state, found)))
+        stack.extend(reversed(expand(removed_mask, state, members)))
     witness = store[0][1] if inst.s == 0 else None
     return Verdict(SAT, witness, stats)
 
@@ -273,10 +273,11 @@ def branch_solve(
     """Branching search for a blocker of size at most s, on _search.
 
     The child rule: a node with budget left has one child per member of
-    its team set, in ascending index, each with one less budget, and a
-    child needs teams while it still has budget. Any blocker must hit
-    the team set just found, so branching on its at most d*t members is
-    exhaustive; that caps the tree at sum over i<=s of (d*t)^i nodes.
+    its team set, the set bits of its members mask in ascending order,
+    each with one less budget, and a child needs teams while it still
+    has budget. Any blocker must hit the team set just found, so
+    branching on its at most d*t members is exhaustive; that caps the
+    tree at sum over i<=s of (d*t)^i nodes.
     The parent's teams are always in the store and meet a leaf's
     removals only in the user removed last, so a swap for that member is
     always tried. Each removal set is explored once: the subtree outcome
@@ -290,13 +291,14 @@ def branch_solve(
     if classes is None:
         classes = _candidates(inst)
 
-    def branches(removed_mask: int, budget: int, found: TeamSet | None) -> list:
-        if not budget:
-            return []
-        return [
-            (removed_mask | 1 << w, budget > 1, budget - 1)
-            for w in sorted(set().union(*found.teams))
-        ]
+    def branches(removed_mask: int, budget: int, members: int) -> list:
+        children = []
+        if budget:
+            while members:
+                low = members & -members
+                children.append((removed_mask | low, budget > 1, budget - 1))
+                members ^= low
+        return children
 
     return _search(inst, limits, classes, "branch", branches, inst.s, explored=set())
 
@@ -336,7 +338,7 @@ def reduced_solve(
     touchable = _touchable(inst, classes)
     s = inst.s
 
-    def deletions(removed_mask: int, state: tuple[int, int], found: TeamSet | None) -> list:
+    def deletions(removed_mask: int, state: tuple[int, int], members: int) -> list:
         start, cost = state
         children = []
         for idx in range(len(touchable) - 1, start - 1, -1):
@@ -419,8 +421,9 @@ def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int)
     # offers k = 1..len(reps) deletions at a cost of k plus its spare
     # users, and a vector costs at most s in total. ways[c] counts the
     # vectors of cost c over the classes seen so far, each class read
-    # against the old counts below c, top cost first.
-    s = inst.s
+    # against the old counts below c, top cost first. No vector costs
+    # more than n.
+    s = min(inst.s, max(inst.n, 1))
     ways = [1] + [0] * s
     total = 1
     for reps, _, spare in _touchable(inst, classes):
@@ -462,7 +465,8 @@ def _auto(
     if (1 << inst.num_resources) > limits.max_classes:
         return "branch", None
     r = inst.d * inst.t
-    inner = inst.s if r == 1 else (r**inst.s - 1) // (r - 1)
+    s = min(inst.s, max(inst.n, 1))  # no branch path removes more than n users
+    inner = s if r == 1 else (r**s - 1) // (r - 1)
     nodes = r * inner + 1
     cap = nodes + (inner - 1) * min(nodes, _CORE_NODES)
     classes = _candidates(inst)

@@ -7,17 +7,18 @@ Three exact searches on bare data, with different parameter sweet spots:
 * ilp_feasible over enumerate_configurations: team configurations (sets
   of neighborhood classes) and a feasible multiplicity vector within
   class capacities, exponential only in |P|; reconstruct_teams draws
-  its teams from per-class pools of users.
+  its teams from per-class pools.
 * pivot_search: branch on the users who reach a team's lowest missing
   resource, at most n^(d*t) leaves whatever |P| is; each call stops at
   PIVOT_MAX_NODES states.
 
+Each search answers on bare access masks with (teams | None, nodes):
+its teams as sets of positions among the masks, None exactly on UNSAT.
 s0_core wraps the budget ladder rung's search as one s=0 core, a
-function of a set of users alone: core(kept) answers whether the kept
-users hold d disjoint covering teams of at most t users, with the teams
-in the caller's numbering when they do. The blocker searches call it at
-every node, and solve_s0, behind the dp and ilp routes, calls it once
-on every user.
+function of a set of users alone: core(kept) returns the same pair, its
+teams remapped to the caller's numbering. The blocker searches call it
+at every node, and solve_s0, behind the dp and ilp routes, calls it
+once on every user.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
@@ -45,12 +46,12 @@ from .policy import (
 
 def dp_search(
     access: Sequence[int], p: int, d: int, t: int
-) -> tuple[bool, list[set[int]] | None, int]:
+) -> tuple[list[set[int]] | None, int]:
     """Are there d disjoint teams of at most t users, drawn from the
     users with these access masks, that each reach all p resources?
 
-    Returns the answer, the teams as sets of indices into access when
-    the answer is SAT (else None), and the number of memoized states.
+    Returns (teams | None, states): the teams as sets of indices into
+    access, None exactly on UNSAT, and the number of memoized states.
 
     State: for each of the d teams, the resources it still misses plus
     how many members it has so far; user i either joins one team that it
@@ -204,12 +205,12 @@ def dp_search(
             failed.add(top[2])
             stack.pop()
         else:
-            return False, None, len(failed)
+            return None, len(failed)
     teams: list[set[int]] = [set() for _ in range(d)]
     for frame in stack:
         if frame[4] >= 0:
             teams[frame[4]].add(frame[0] - 1)
-    return True, teams, len(failed) + len(stack)
+    return teams, len(failed) + len(stack)
 
 
 def enumerate_configurations(
@@ -360,12 +361,12 @@ PIVOT_MAX_NODES = 500_000
 
 def pivot_search(
     access: Sequence[int], p: int, d: int, t: int
-) -> tuple[bool, list[set[int]] | None, int]:
+) -> tuple[list[set[int]] | None, int]:
     """Are there d disjoint teams of at most t users, drawn from the
     users with these access masks, that each reach all p >= 1 resources?
 
-    Returns the answer, the teams as sets of indices into access when
-    the answer is SAT (else None), and the number of states entered.
+    Returns (teams | None, nodes): the teams as sets of indices into
+    access, None exactly on UNSAT, and the number of states entered.
 
     Teams are filled one at a time. The first unfinished team takes its
     lowest missing resource r, and the search branches over the unused
@@ -408,7 +409,7 @@ def pivot_search(
                 continue
             break
         else:
-            return False, None, nodes
+            return None, nodes
         del picks[len(frames) - 1 :]
         picks.append(u)
         used |= 1 << u
@@ -422,21 +423,21 @@ def pivot_search(
     teams: list[set[int]] = [set() for _ in range(d)]
     for (frame_state, _), u in zip(frames, picks):
         teams[frame_state[0]].add(u)
-    return True, teams, nodes
+    return teams, nodes
 
 
 def s0_core(
     inst: Instance, rung: str, limits: Limits, extras: dict[str, int] | None = None
-) -> Callable[[list[int]], tuple[bool, TeamSet | None, int]]:
+) -> Callable[[list[int]], tuple[TeamSet | None, int]]:
     """The s=0 core of a budget ladder rung: "dp", "ilp" or "pivot".
 
     core(kept) answers the s=0 query on the users kept, in ascending
-    index: the answer, its teams in the caller's numbering when SAT
-    (else None), and the search's node count. dp and pivot search the
-    kept users' masks. ilp groups the kept users by class, takes the
-    group sizes as the capacities and draws each team from the lowest
-    users of its classes; its one configuration list, made on the first
-    call, serves every call.
+    index, as (teams | None, nodes): the teams in the caller's numbering
+    (position i of the masks searched is user kept[i]), None exactly on
+    UNSAT, and the search's node count. ilp pools the positions by class
+    mask, takes the pool sizes as the capacities and draws each team
+    from the lowest positions of its classes; its one configuration
+    list, made on the first call, serves every call.
 
     A dp rung past dp_bits raises BudgetError. extras, when given, get
     the rung's size: dp_bits, or the number of configurations.
@@ -450,34 +451,29 @@ def s0_core(
             )
         if extras is not None:
             extras["dp_bits"] = d * p
-    if rung != "ilp":
-        search = dp_search if rung == "dp" else pivot_search
-
-        def core(kept: list[int]):
-            sat, found, nodes = search([access[u] for u in kept], p, d, t)
-            if not sat:
-                return False, None, nodes
-            return True, TeamSet(tuple(frozenset(kept[i] for i in team) for team in found)), nodes
-
-        return core
     configs: list[tuple[int, ...]] | None = None
 
-    def core(kept: list[int]):
+    def count_classes(masks: list[int], p: int, d: int, t: int):
         nonlocal configs
         if configs is None:
             configs = enumerate_configurations(inst, limits=limits)
             if extras is not None:
                 extras["configurations"] = len(configs)
-        # Each class's kept users, ascending; access masks are class
-        # masks on a normalized instance.
+        # Each class's positions, ascending; access masks are class masks
+        # on a normalized instance.
         pools: dict[int, list[int]] = {}
-        for u in kept:
-            pools.setdefault(access[u], []).append(u)
-        capacities = {mask: len(users) for mask, users in pools.items()}
-        vector, nodes = ilp_feasible(configs, capacities, d)
-        if vector is None:
-            return False, None, nodes
-        return True, reconstruct_teams(pools, vector), nodes
+        for i, mask in enumerate(masks):
+            pools.setdefault(mask, []).append(i)
+        vector, nodes = ilp_feasible(configs, {m: len(g) for m, g in pools.items()}, d)
+        return (None if vector is None else reconstruct_teams(pools, vector).teams), nodes
+
+    search = {"dp": dp_search, "ilp": count_classes, "pivot": pivot_search}[rung]
+
+    def core(kept: list[int]) -> tuple[TeamSet | None, int]:
+        found, nodes = search([access[u] for u in kept], p, d, t)
+        if found is None:
+            return None, nodes
+        return TeamSet(tuple(frozenset(kept[i] for i in team) for team in found)), nodes
 
     return core
 
@@ -495,9 +491,8 @@ def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verd
     if inst.num_resources == 0:
         # Empty target: d empty teams cover it vacuously.
         return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
-    core = s0_core(inst, rung, limits, stats.extras)
-    sat, found, stats.nodes = core(list(range(inst.n)))
-    if not sat:
+    found, stats.nodes = s0_core(inst, rung, limits, stats.extras)(list(range(inst.n)))
+    if found is None:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     return Verdict(SAT, found, stats)
 

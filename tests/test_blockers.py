@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -402,6 +403,22 @@ class TestRouting:
         assert _vector_count(x, _candidates(x), 10**9) == vectors
         assert _auto(x, RUNGS[rung])[0] == search
 
+    def test_auto_prices_a_budget_past_n_at_n(self):
+        # no deletion vector costs more than n = 4 and no branch path
+        # removes more than 4 users, so auto prices s = 200,000 as s = 4
+        # and keeps no list of s counters; reduced deletes user 0 with
+        # the spares 2 and 3, leaving user 1 alone for d = 2 teams
+        x = norm([[0]] * 4, p=1, s=200_000, d=2, t=1)
+        tracemalloc.start()
+        try:
+            v = solve(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.stats.algorithm == "reduced+dp"
+        assert v.witness == BlockerSet(frozenset({0, 2, 3}))
+        assert peak < 1 << 20
+
     def test_auto_uses_reduction_when_bits_run_out(self):
         x = norm([[0], [0]], p=1, s=1, d=2, t=1)
         v = solve(x, limits=Limits(dp_bits=1))
@@ -594,11 +611,10 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
     for rung, limits in RUNGS.items():
         assert _rung(y, limits) == rung
         core = rescheck.teams.s0_core(y, rung, limits)
-        sat, found, _ = core(kept)
-        assert sat == want
-        assert (found is not None) == sat
-        assert core(survivors)[:2] == (sat, found)
-        if sat:
+        found, _ = core(kept)
+        assert (found is not None) == want
+        assert core(survivors)[0] == found
+        if want:
             assert set().union(*found.teams) <= set(kept)
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))
         asked = []
@@ -683,25 +699,27 @@ def test_a_chain_deeper_than_the_recursion_limit():
 
 @st.composite
 def classed_instances(draw):
-    # A class reaching every resource and up to three others, of up to
-    # six users each, in shuffled order, so that spare users, and budgets
-    # that reach or miss them, are common, and so are SAT answers. Every
-    # instance fits the class budget.
-    p = draw(st.sampled_from([1, 2, 3]))
+    # A class of one to six users reaching every resource beside two to
+    # five small classes of one to four users, in shuffled order, with s
+    # from 1 to 5, so that spare users, budgets that reach or miss them,
+    # SAT answers and searches of five or more deletion vectors are all
+    # common. Hypothesis favors the first option listed, so the ones
+    # that make deep searches come first. Every instance fits the class
+    # budget.
+    p = draw(st.sampled_from([3, 2]))
     full = (1 << p) - 1
-    classes = draw(
-        st.lists(st.tuples(st.integers(1, full), st.integers(1, 6)), max_size=3)
-    )
-    classes.append((full, draw(st.integers(1, 6))))
+    small = draw(st.permutations(range(1, full)))[: draw(st.sampled_from([5, 4, 3, 2]))]
+    classes = [(mask, draw(st.sampled_from([1, 2, 3, 4]))) for mask in small]
+    classes.append((full, draw(st.sampled_from([6, 5, 4, 3, 2, 1]))))
     access = draw(st.permutations([mask for mask, size in classes for _ in range(size)]))
     return normalize(
         Instance(
             access=tuple(access),
             num_resources=p,
             target=full,
-            s=draw(st.sampled_from([0, 1, 2, 3])),
-            d=draw(st.sampled_from([1, 2, 3])),
-            t=draw(st.sampled_from([1, 2, 3, INF])),
+            s=draw(st.sampled_from([5, 4, 3, 2, 1])),
+            d=draw(st.sampled_from([2, 3, 1])),
+            t=draw(st.sampled_from([INF, 3, 2, 1])),
         )
     )
 
