@@ -9,8 +9,8 @@ inner s=0 core through one step, _solve_survivors, a function of the
 removal set alone. Whether that question is SAT depends only on how
 many survivors each neighborhood class keeps, capped at d, so the core
 sees only the first min(|class|, d) survivors of every occupied class,
-and its teams are in the caller's numbering. Both searches read the
-classes from one table, _candidates: class_partition without class 0.
+and its teams are in the caller's numbering. Both searches, and auto's
+count, read the classes from one table, Instance.classes.
 The pass that picks those survivors also screens supply: a resource
 with fewer than d surviving reachers is UNSAT with no core call. Nodes
 that need no teams are first screened against the team sets the search
@@ -55,7 +55,6 @@ from .policy import (
     SolveStats,
     TeamSet,
     Verdict,
-    class_partition,
     require_normalized,
     restrict,  # unused here; perfbench/tracing.py binds blockers.restrict
 )
@@ -85,15 +84,7 @@ def _rung(inst: Instance, limits: Limits) -> str:
     return "pivot"
 
 
-def _candidates(inst: Instance) -> dict[int, tuple[int, ...]]:
-    # The users of each class in mask order; class 0 users appear in no
-    # useful team.
-    return {mask: users for mask, users in class_partition(inst).items() if mask}
-
-
-def _touchable(
-    inst: Instance, classes: dict[int, tuple[int, ...]]
-) -> list[tuple[tuple[int, ...], int, int]]:
+def _touchable(inst: Instance) -> list[tuple[tuple[int, ...], int, int]]:
     # Per class that a deletion can touch within the budget, in class
     # bitmask order: its representatives, the mask of its spare users
     # and their number. Deleting k representatives costs k plus every
@@ -101,20 +92,14 @@ def _touchable(
     # touch.
     d, s = inst.d, inst.s
     table = []
-    for users in classes.values():
+    for users in inst.classes.values():
         if len(users) < d + s:
             spares = users[d:]
             table.append((users[:d], sum(1 << u for u in spares), len(spares)))
     return table
 
 
-def _swap_covers(
-    inst: Instance,
-    classes: dict[int, tuple[int, ...]],
-    found: TeamSet,
-    taken: int,
-    u: int,
-) -> bool:
+def _swap_covers(inst: Instance, found: TeamSet, taken: int, u: int) -> bool:
     # found's teams avoid every removal but u, who sits in one of them;
     # taken holds the removals and every member of found. u's team
     # without u misses the resources only u reached; a class reaching
@@ -131,7 +116,7 @@ def _swap_covers(
             break
     if not lost:
         return True
-    for mask, users in classes.items():
+    for mask, users in inst.classes.items():
         if mask & lost == lost:
             for v in users:
                 if not taken >> v & 1:
@@ -140,10 +125,7 @@ def _swap_covers(
 
 
 def _stored_covers(
-    inst: Instance,
-    classes: dict[int, tuple[int, ...]],
-    store: list[tuple[int, TeamSet]],
-    removed_mask: int,
+    inst: Instance, store: list[tuple[int, TeamSet]], removed_mask: int
 ) -> bool:
     # store holds (members mask, teams) for every team set the core has
     # returned. True when one of them, newest first, avoids removed_mask,
@@ -154,21 +136,16 @@ def _stored_covers(
         if not hit:
             return True
         if not hit & (hit - 1) and _swap_covers(
-            inst, classes, found, members | removed_mask, hit.bit_length() - 1
+            inst, found, members | removed_mask, hit.bit_length() - 1
         ):
             return True
     return False
 
 
-def _solve_survivors(
-    inst: Instance,
-    core: Callable,
-    classes: dict[int, tuple[int, ...]],
-    removed_mask: int,
-) -> TeamSet | None:
+def _solve_survivors(inst: Instance, core: Callable, removed_mask: int) -> TeamSet | None:
     """The zero-removal query on the users left after removed_mask.
 
-    One pass over the _candidates classes keeps the first
+    One pass over the classes in inst.classes keeps the first
     min(|class|, d) survivors of each; the answer depends only on how
     many each class keeps. Every team reaches every resource, so d
     teams need d distinct survivors who reach each one: a resource with
@@ -186,7 +163,7 @@ def _solve_survivors(
     # resources count levels, top level first so each reads the old
     # level below.
     reach = [0] * d
-    for mask, users in classes.items():
+    for mask, users in inst.classes.items():
         count = 0
         for u in users:
             if not removed_mask >> u & 1:
@@ -205,7 +182,6 @@ def _solve_survivors(
 def _search(
     inst: Instance,
     limits: Limits,
-    classes: dict[int, tuple[int, ...]],
     route: str,
     expand: Callable,
     root: object,
@@ -250,8 +226,8 @@ def _search(
                 continue
             explored.add(removed_mask)
         members = 0
-        if needs_teams or not _stored_covers(inst, classes, store, removed_mask):
-            found = _solve_survivors(inst, core, classes, removed_mask)
+        if needs_teams or not _stored_covers(inst, store, removed_mask):
+            found = _solve_survivors(inst, core, removed_mask)
             if found is None:
                 blocker = frozenset(u for u in range(inst.n) if removed_mask >> u & 1)
                 return Verdict(UNSAT, BlockerSet(blocker), stats)
@@ -264,12 +240,7 @@ def _search(
     return Verdict(SAT, witness, stats)
 
 
-def branch_solve(
-    inst: Instance,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    classes: dict[int, tuple[int, ...]] | None = None,
-) -> Verdict:
+def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Branching search for a blocker of size at most s, on _search.
 
     The child rule: a node with budget left has one child per member of
@@ -283,13 +254,10 @@ def branch_solve(
     always tried. Each removal set is explored once: the subtree outcome
     depends only on the set (its size fixes the remaining budget), and a
     set that held a blocker ends the search, so a revisit along another
-    branching order finds none.
-
-    classes, when given, is _candidates(inst), built by the caller.
+    branching order finds none. Survivors and swaps are read off
+    inst.classes.
     """
     require_normalized(inst)
-    if classes is None:
-        classes = _candidates(inst)
 
     def branches(removed_mask: int, budget: int, members: int) -> list:
         children = []
@@ -300,15 +268,10 @@ def branch_solve(
                 members ^= low
         return children
 
-    return _search(inst, limits, classes, "branch", branches, inst.s, explored=set())
+    return _search(inst, limits, "branch", branches, inst.s, explored=set())
 
 
-def reduced_solve(
-    inst: Instance,
-    *,
-    limits: Limits = DEFAULT_LIMITS,
-    classes: dict[int, tuple[int, ...]] | None = None,
-) -> Verdict:
+def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Blocker search over per-class deletion counts, on _search.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
@@ -319,13 +282,11 @@ def reduced_solve(
     of that class, and all of those are charged against the budget.
 
     The child rule visits the deletion vectors of total cost at most s
-    in lexicographic order of their per-class counts, classes in
-    bitmask order (_touchable): a node's children add k = 1, 2, ...
+    in lexicographic order of their per-class counts, over inst.classes
+    in bitmask order (_touchable): a node's children add k = 1, 2, ...
     deletions in one class after the last class it touches, the last
     class first, and no node but the root needs teams. The removal set
     of the first vector that blocks is the witness.
-
-    classes, when given, is _candidates(inst), built by the caller.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -333,9 +294,7 @@ def reduced_solve(
             f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    if classes is None:
-        classes = _candidates(inst)
-    touchable = _touchable(inst, classes)
+    touchable = _touchable(inst)
     s = inst.s
 
     def deletions(removed_mask: int, state: tuple[int, int], members: int) -> list:
@@ -350,9 +309,9 @@ def reduced_solve(
                 children.append((removed_mask | drop, False, (idx + 1, cost + k + spare)))
         return children
 
-    verdict = _search(inst, limits, classes, "reduced", deletions, (0, 0))
+    verdict = _search(inst, limits, "reduced", deletions, (0, 0))
     verdict.stats.extras["reduced_users"] = sum(
-        min(len(users), inst.d) for users in classes.values()
+        min(len(users), inst.d) for users in inst.classes.values()
     )
     return verdict
 
@@ -415,7 +374,7 @@ STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
 _CORE_NODES = 100
 
 
-def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int) -> int:
+def _vector_count(inst: Instance, cap: int) -> int:
     # The number of deletion vectors reduced_solve visits, its node count
     # when it answers SAT, or some number above cap. A _touchable class
     # offers k = 1..len(reps) deletions at a cost of k plus its spare
@@ -426,7 +385,7 @@ def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int)
     s = min(inst.s, max(inst.n, 1))
     ways = [1] + [0] * s
     total = 1
-    for reps, _, spare in _touchable(inst, classes):
+    for reps, _, spare in _touchable(inst):
         most = len(reps)
         for c in range(s, spare, -1):
             more = sum(ways[max(c - spare - most, 0) : c - spare])
@@ -437,11 +396,9 @@ def _vector_count(inst: Instance, classes: dict[int, tuple[int, ...]], cap: int)
     return total
 
 
-def _auto(
-    inst: Instance, limits: Limits
-) -> tuple[str, dict[int, tuple[int, ...]] | None]:
-    """The strategy "auto" runs on inst, and the _candidates table when
-    the choice built it.
+def _auto(inst: Instance, limits: Limits) -> str:
+    """The strategy "auto" runs on inst, a name solve() dispatches as
+    it does a named one.
 
     The fast path where it applies; else on the pivot rung branch, and
     at s=0 the rung's own solver. At s > 0 on the dp and ilp rungs,
@@ -453,24 +410,24 @@ def _auto(
     V <= B + (I - 1) * min(B, _CORE_NODES), which is V <= B*I while
     B <= _CORE_NODES (at s = 1, I = 1: the search with fewer nodes).
     branch is taken otherwise, or when 2^|P| is past max_classes, where
-    reduced refuses the instance.
+    reduced refuses the instance. The count reads inst.classes, the
+    table the search then reuses.
     """
     if outside_domain(inst, "fastpath") is None:
-        return "fastpath", None
+        return "fastpath"
     rung = _rung(inst, limits)
     if rung == "pivot":
-        return "branch", None
+        return "branch"
     if inst.s == 0:
-        return rung, None
+        return rung
     if (1 << inst.num_resources) > limits.max_classes:
-        return "branch", None
+        return "branch"
     r = inst.d * inst.t
     s = min(inst.s, max(inst.n, 1))  # no branch path removes more than n users
     inner = s if r == 1 else (r**s - 1) // (r - 1)
     nodes = r * inner + 1
     cap = nodes + (inner - 1) * min(nodes, _CORE_NODES)
-    classes = _candidates(inst)
-    return "reduced" if _vector_count(inst, classes, cap) <= cap else "branch", classes
+    return "reduced" if _vector_count(inst, cap) <= cap else "branch"
 
 
 def solve(
@@ -489,10 +446,7 @@ def solve(
     """
     require_normalized(inst)
     if strategy == "auto":
-        strategy, classes = _auto(inst, limits)
-        if classes is not None:
-            search = branch_solve if strategy == "branch" else reduced_solve
-            return search(inst, limits=limits, classes=classes)
+        strategy = _auto(inst, limits)
     try:
         runner = STRATEGIES[strategy]
     except KeyError:

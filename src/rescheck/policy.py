@@ -18,13 +18,16 @@ states what those searches answer. project deletes users and
 resources, renumbers densely, keeps labels, projects the target and
 clamps t; normalize and every kernel reduction are projections.
 class_partition groups users by the target resources they reach, the
-neighborhood classes the solvers count.
+neighborhood classes the solvers count; it keeps class 0, which the
+sweep's class-inequality check reads, and Instance.classes is the same
+table without class 0, built once per instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterable
 
 INF = math.inf
@@ -61,6 +64,10 @@ class Instance:
     the bitmask of resources the teams must cover (P), s is the removal
     budget, d the number of disjoint teams, t the team size cap (INF
     for unbounded).
+
+    classes is class_partition without class 0, whose users appear in no
+    useful team, built on first use: the one class table that auto's
+    count, both removal searches and the ilp configuration list read.
     """
 
     access: tuple[int, ...]
@@ -103,6 +110,10 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.access)
+
+    @cached_property
+    def classes(self) -> dict[int, tuple[int, ...]]:
+        return {mask: users for mask, users in class_partition(self).items() if mask}
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .policy import (
     SolveStats,
     TeamSet,
     Verdict,
-    class_partition,
     require_normalized,
 )
 
@@ -219,9 +218,9 @@ def enumerate_configurations(
     """All team shapes: sets of at most t distinct occupied neighborhood
     classes whose union covers the target.
 
-    A configuration is an ascending tuple of class bitmasks. Listed by
-    part count, then lexicographically. The number of candidate
-    families examined is budgeted.
+    A configuration is an ascending tuple of class bitmasks, drawn from
+    inst.classes. Listed by part count, then lexicographically. The
+    number of candidate families examined is budgeted.
     """
     require_normalized(inst)
     if (1 << inst.num_resources) > limits.max_classes:
@@ -229,7 +228,7 @@ def enumerate_configurations(
             f"configuration budget: 2^|P| = {1 << inst.num_resources} classes "
             f"exceeds {limits.max_classes}"
         )
-    masks = [m for m in class_partition(inst) if m]
+    masks = list(inst.classes)
     full = inst.target
     t = int(inst.t)
     suffix = [0] * (len(masks) + 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -43,12 +44,12 @@ from rescheck import (
 )
 from rescheck.blockers import (
     _auto,
-    _candidates,
     _rung,
     _solve_survivors,
     _vector_count,
     outside_domain,
 )
+from rescheck.generators import random_instance
 
 # Each budget ladder rung, reached by limits every instance below fits.
 RUNGS = {
@@ -400,8 +401,8 @@ class TestRouting:
         # root, I = sum over i < s of (d*t)^i, each priced at min(B, 100)
         # nodes; while B <= 100 that is V <= B*I
         x = norm(rows, p=p, s=s, d=d, t=t)
-        assert _vector_count(x, _candidates(x), 10**9) == vectors
-        assert _auto(x, RUNGS[rung])[0] == search
+        assert _vector_count(x, 10**9) == vectors
+        assert _auto(x, RUNGS[rung]) == search
 
     def test_auto_prices_a_budget_past_n_at_n(self):
         # no deletion vector costs more than n = 4 and no branch path
@@ -438,6 +439,22 @@ class TestRouting:
         assert v.sat == (s == 0)  # s = 1: removing user 2 leaves one team
         assert v.stats.nodes == 1 + s  # s = 0 is one inner call
         assert verify_witness(x, v)
+
+    def test_auto_keeps_branch_past_the_class_budget(self):
+        # on the dp rung, V = 7 deletion vectors are within the cap of
+        # 7 = B at s = 1, so the count alone picks reduced; but 2^|P| =
+        # 16 classes exceed max_classes = 4, where reduced refuses
+        x = normalize(random_instance(1, 14, 4, 0.5, s=1, d=2, t=3).instance)
+        limits = Limits(max_classes=4)
+        assert _rung(x, limits) == "dp"
+        assert _vector_count(x, 7) == 7
+        assert _auto(x, DEFAULT_LIMITS) == "reduced"
+        assert _auto(x, limits) == "branch"
+        with pytest.raises(BudgetError):
+            reduced_solve(x, limits=limits)
+        v = solve(x, limits=limits)
+        assert v.stats.algorithm == "branch+dp"
+        assert v.answer == solve_rcp_bruteforce(x).answer
 
     def test_explicit_strategy_dispatch(self):
         x = norm([[0]], p=1, s=0, d=1, t=1)
@@ -623,7 +640,7 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
             asked.append(list(users))
             return core(users)
 
-        got = _solve_survivors(y, recorded, _candidates(y), removed_mask)
+        got = _solve_survivors(y, recorded, removed_mask)
         assert asked == ([] if starved else [kept])
         assert got == (None if starved else found)
 
@@ -640,6 +657,37 @@ def test_ilp_core_answers_when_a_removal_empties_a_class(solver, s):
     assert v.sat == solve_rcp_bruteforce(x).sat == (s == 1)
     if not v.sat:
         assert verify_witness(x, v)
+
+
+def test_one_class_table_per_instance(monkeypatch):
+    # every module binding of class_partition is counted: on the ilp
+    # rung at s > 0, auto's count, the search and the core's
+    # configuration list read one table; later solves of the same
+    # instance build none, and a replaced instance builds its own
+    built = []
+
+    def counted(inst):
+        built.append(inst)
+        return class_partition(inst)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescheck" and (
+            getattr(module, "class_partition", None) is class_partition
+        ):
+            monkeypatch.setattr(module, "class_partition", counted)
+    x = normalize(random_instance(1, 14, 4, 0.5, s=1, d=2, t=3).instance)
+    limits = Limits(dp_bits=0)
+    v = solve(x, limits=limits)
+    assert v.stats.algorithm.endswith("+ilp")
+    assert len(built) == 1 and built[0] is x
+    assert solve(x, limits=limits).stats == v.stats
+    branch_solve(x, limits=limits)
+    reduced_solve(x, limits=limits)
+    assert len(built) == 1
+    y = replace(x, access=x.access[1:] + x.access[:1])
+    assert y.classes == {m: users for m, users in class_partition(y).items() if m}
+    assert y.classes != x.classes
+    assert len(built) == 2 and built[1] is y
 
 
 def _nothing_stored(*args, **kwargs):
@@ -672,9 +720,9 @@ def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
     asked = []
     solve_survivors = rescheck.blockers._solve_survivors
 
-    def recorded(inst, core, classes, removed_mask):
+    def recorded(inst, core, removed_mask):
         asked.append(removed_mask)
-        return solve_survivors(inst, core, classes, removed_mask)
+        return solve_survivors(inst, core, removed_mask)
 
     monkeypatch.setattr(rescheck.blockers, "_stored_covers", _nothing_stored)
     monkeypatch.setattr(rescheck.blockers, "_solve_survivors", recorded)
@@ -731,14 +779,13 @@ def test_vector_count_is_the_reduced_node_count(y):
     # answers SAT, and bounds it when it finds a blocker first; with a
     # cap below the count, the count stops at some number above the cap
     v = reduced_solve(y)
-    classes = _candidates(y)
-    count = _vector_count(y, classes, 10**9)
+    count = _vector_count(y, 10**9)
     if v.sat:
         assert count == v.stats.nodes
     else:
         assert count >= v.stats.nodes
-    assert _vector_count(y, classes, count) == count
-    assert _vector_count(y, classes, count - 1) > count - 1
+    assert _vector_count(y, count) == count
+    assert _vector_count(y, count - 1) > count - 1
 
 
 def _reduced_reference(x):

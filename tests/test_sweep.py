@@ -5,7 +5,7 @@ from __future__ import annotations
 import rescheck.oracle
 import rescheck.policy
 import rescheck.sweep
-from rescheck import UNSAT, BlockerSet, Verdict
+from rescheck import UNSAT, BlockerSet, Verdict, class_partition
 from rescheck.sweep import SweepConfig, run_sweep
 
 SMALL = SweepConfig(max_n=3, max_p=2, seeds=40)
@@ -70,3 +70,45 @@ def test_wrong_non_oracle_blocker_is_flagged(monkeypatch):
         ("witness", "reduced", "invalid blocker")
     ]
     assert report.disagreements[0].instance.s > 0
+
+
+def test_branch_past_its_node_bound_is_flagged(monkeypatch):
+    # branch visits at most sum over i <= s of (d*t)^i nodes; a count
+    # past it is reported once, and the sweep stops there
+    real = rescheck.sweep.STRATEGIES["branch"]
+
+    def inflated(inst, limits):
+        verdict = real(inst, limits)
+        verdict.stats.nodes += 10**6
+        return verdict
+
+    strategies = dict(rescheck.sweep.STRATEGIES, branch=inflated)
+    monkeypatch.setattr(rescheck.sweep, "STRATEGIES", strategies)
+    report = run_sweep(SMALL)
+    assert [(d.kind, d.algorithm) for d in report.disagreements] == [
+        ("node-bound", "branch")
+    ]
+
+
+def test_oracle_blocker_leaving_a_spare_user_is_flagged(monkeypatch):
+    # The oracle's blocker plus one user of a class that still keeps d
+    # users after losing that one breaks the class inequality of
+    # minimal blockers; the family's check reports it before any cell
+    real = rescheck.sweep.solve_rcp_bruteforce
+
+    def padded(inst, **kwargs):
+        verdict = real(inst, **kwargs)
+        if verdict.answer == UNSAT:
+            removed = verdict.witness.users
+            for members in class_partition(inst).values():
+                left = [u for u in members if u not in removed]
+                if len(left) > inst.d:
+                    padded_blocker = BlockerSet(removed | {left[0]})
+                    return Verdict(UNSAT, padded_blocker, verdict.stats)
+        return verdict
+
+    monkeypatch.setattr(rescheck.sweep, "solve_rcp_bruteforce", padded)
+    report = run_sweep(SMALL)
+    assert [(d.kind, d.algorithm, d.baseline) for d in report.disagreements] == [
+        ("minimal-blocker", "oracle", "class-inequality")
+    ]
