@@ -48,7 +48,6 @@ from .policy import (
     SAT,
     UNSAT,
     BlockerSet,
-    BudgetError,
     Instance,
     Limits,
     PreconditionError,
@@ -289,11 +288,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
     of the first vector that blocks is the witness.
     """
     require_normalized(inst)
-    if (1 << inst.num_resources) > limits.max_classes:
-        raise BudgetError(
-            f"reduced_solve budget: 2^|P| = {1 << inst.num_resources} classes "
-            f"exceeds {limits.max_classes}"
-        )
+    teams.require_class_budget(inst, limits, "reduced_solve")
     touchable = _touchable(inst)
     s = inst.s
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -82,12 +82,7 @@ def _load_normalized(path: str) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_normalized(args.path)
-    limits = Limits(
-        dp_bits=args.dp_bits,
-        max_classes=args.max_classes,
-        oracle_users=args.oracle_users,
-        max_configs=args.max_configs,
-    )
+    limits = Limits(**{f.name: getattr(args, f.name) for f in fields(Limits)})
     verdict = solve(inst, strategy=args.algorithm, limits=limits)
     sys.stdout.write(
         emit_verdict(

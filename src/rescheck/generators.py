@@ -400,6 +400,19 @@ def from_set_cover(
     return GeneratedInstance(instance, expected, provenance)
 
 
+def random_masks(rng: random.Random, n: int, m: int, density: float) -> list[int]:
+    """n access masks over m resources, each bit set by one rng.random()
+    draw below density, drawn user by user and resource by resource."""
+    masks = []
+    for _ in range(n):
+        mask = 0
+        for r in range(m):
+            if rng.random() < density:
+                mask |= 1 << r
+        masks.append(mask)
+    return masks
+
+
 def random_instance(
     seed: int,
     n: int,
@@ -414,14 +427,7 @@ def random_instance(
         raise ValueError("density must lie in [0, 1]")
     if n < 0 or m < 0:
         raise ValueError("sizes must be nonnegative")
-    rng = random.Random(seed)
-    access = []
-    for _ in range(n):
-        mask = 0
-        for r in range(m):
-            if rng.random() < density:
-                mask |= 1 << r
-        access.append(mask)
+    access = random_masks(random.Random(seed), n, m, density)
     instance = Instance(
         access=tuple(access), num_resources=m, target=(1 << m) - 1, s=s, d=d, t=t
     )

@@ -114,10 +114,9 @@ def find_d_expansion(inst: Instance, d: int) -> ExpansionWitness | None:
         unsaturated = [r for r in adj if load[r] < d]
         if not unsaturated:
             pairs = tuple(sorted((r, u) for u, r in match.items()))
-            x = frozenset(adj)
-            y = frozenset(match)
-            _validate_expansion(inst, ExpansionWitness(x, y, pairs), d)
-            return ExpansionWitness(x, y, pairs)
+            witness = ExpansionWitness(frozenset(adj), frozenset(match), pairs)
+            _validate_expansion(inst, witness, d)
+            return witness
 
         # Alternating-path reachability from the unsaturated resources.
         reach_r = set(unsaturated)
@@ -285,7 +284,7 @@ def lift_teams(
         for r_label, u_label in step.expansion:
             by_resource.setdefault(r_label, []).append(u_label)
         for members in by_resource.values():
-            if len(members) != original.d:  # pragma: no cover - rule2 validated this
+            if len(members) != original.d:
                 raise ValueError("trace expansion does not provide d users per resource")
             for i, u_label in enumerate(members):
                 label_teams[i].add(u_label)

@@ -49,7 +49,7 @@ def solve_s0_bruteforce(
     inst: Instance,
     *,
     user_limit: int | None = DEFAULT_LIMITS.oracle_users,
-    kept: int | None = None,
+    kept: int = -1,
 ) -> Verdict:
     """Exhaustive search for d disjoint covering teams (s is ignored).
 
@@ -63,17 +63,14 @@ def solve_s0_bruteforce(
     smallest member index. The search keeps one frame per user on an
     explicit stack, so Python's recursion limit does not bound n.
 
-    kept, a bitmask of users, searches only those users: the search of
-    restrict(inst, kept users), on their access masks, with the teams
-    reported in inst's numbering.
+    kept, a bitmask of users, every user by default (-1 has every bit
+    set), searches only those users: the search of restrict(inst, kept
+    users), on their access masks, with the teams reported in inst's
+    numbering.
     """
     require_normalized(inst)
-    if kept is None:
-        users = None
-        access = inst.access
-    else:
-        users = [u for u in range(inst.n) if kept >> u & 1]
-        access = [inst.access[u] for u in users]
+    users = [u for u in range(inst.n) if kept >> u & 1]
+    access = [inst.access[u] for u in users]
     n, d, t = len(access), inst.d, int(inst.t)
     _check_size(n, user_limit)
     stats = SolveStats(algorithm="oracle-s0")
@@ -147,9 +144,9 @@ def solve_s0_bruteforce(
     sat = result is True
     if not sat:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
-    if users is not None:
-        members = [[users[i] for i in m] for m in members]
-    teams = sorted((frozenset(m) for m in members), key=lambda team: tuple(sorted(team)))
+    teams = sorted(
+        (frozenset(users[i] for i in m) for m in members), key=lambda team: tuple(sorted(team))
+    )
     return Verdict(SAT, TeamSet(tuple(teams)), stats)
 
 

@@ -12,11 +12,12 @@ resource indices. String labels are carried along so witnesses can be
 reported in the caller's vocabulary.
 
 Two functions cut instances down. restrict keeps a subset of users and
-leaves the query as it is; no solver calls it, since the blocker
+leaves the query as it is; no search calls it, since the blocker
 searches and the oracle's survivor check run on bare data, but it
-states what those searches answer. project deletes users and
-resources, renumbers densely, keeps labels, projects the target and
-clamps t; normalize and every kernel reduction are projections.
+states what those searches answer. project deletes users through
+restrict and then resources, renumbers densely, keeps labels, projects
+the target and clamps t; normalize, which deletes no users, and every
+kernel reduction are projections.
 class_partition groups users by the target resources they reach, the
 neighborhood classes the solvers count; it keeps class 0, which the
 sweep's class-inequality check reads, and Instance.classes is the same
@@ -203,21 +204,18 @@ def project(
 ) -> Instance:
     """Delete the given users and resources, renumbering densely.
 
-    Surviving access masks and the target are projected onto the
-    surviving resources, and labels keep the original identities. t is
-    clamped to the number of surviving resources (an unbounded t
-    becomes that number), which changes no answer: any covering team
-    can be pruned to at most one user per target resource. With no
-    resources left, t is kept.
+    restrict keeps the other users. Surviving access masks and the
+    target are projected onto the surviving resources, and labels keep
+    the original identities. t is clamped to the number of surviving
+    resources (an unbounded t becomes that number), which changes no
+    answer: any covering team can be pruned to at most one user per
+    target resource. With no resources left, t is kept.
     """
-    kept = [r for r in range(inst.num_resources) if r not in resources]
-    masks, labels = inst.access, inst.user_labels
     if users:
-        kept_users = [u for u in range(inst.n) if u not in users]
-        masks = tuple(masks[u] for u in kept_users)
-        labels = tuple(labels[u] for u in kept_users)
+        inst = restrict(inst, (u for u in range(inst.n) if u not in users))
+    kept = [r for r in range(inst.num_resources) if r not in resources]
     access = []
-    for mask in masks:
+    for mask in inst.access:
         new_mask = 0
         for j, r in enumerate(kept):
             if mask >> r & 1:
@@ -235,7 +233,7 @@ def project(
         s=inst.s,
         d=inst.d,
         t=min(inst.t, p) if p else inst.t,
-        user_labels=labels,
+        user_labels=inst.user_labels,
         resource_labels=tuple(inst.resource_labels[r] for r in kept),
     )
 

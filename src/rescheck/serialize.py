@@ -161,26 +161,19 @@ def parse_instance(text: str) -> Instance:
 def emit_instance(inst: Instance, provenance: dict[str, Any] | None = None) -> str:
     """Render an instance; field order is fixed so equal inputs give
     byte-identical output."""
+
+    def labels(mask: int) -> list[str]:
+        return [inst.resource_labels[r] for r in range(inst.num_resources) if mask >> r & 1]
+
     doc: dict[str, Any] = {
         "version": FORMAT_VERSION,
         "users": [
-            {
-                "id": inst.user_labels[u],
-                "resources": [
-                    inst.resource_labels[r]
-                    for r in range(inst.num_resources)
-                    if inst.access[u] >> r & 1
-                ],
-            }
-            for u in range(inst.n)
+            {"id": label, "resources": labels(mask)}
+            for label, mask in zip(inst.user_labels, inst.access)
         ],
         "resources": list(inst.resource_labels),
         "policy": {
-            "P": [
-                inst.resource_labels[r]
-                for r in range(inst.num_resources)
-                if inst.target >> r & 1
-            ],
+            "P": labels(inst.target),
             "s": inst.s,
             "d": inst.d,
             "t": "inf" if inst.t == INF else int(inst.t),

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .blockers import STRATEGIES, outside_domain
+from .generators import random_masks
 from .oracle import solve_rcp_bruteforce
 from .policy import (
     DEFAULT_LIMITS,
@@ -273,13 +274,7 @@ def _random_cell(config: SweepConfig, seed: int) -> Instance:
     n = 1 + pick(config.random_max_n)
     p = 1 + pick(config.random_max_p)
     density = 0.15 + 0.7 * rng.random()
-    access = []
-    for _ in range(n):
-        mask = 0
-        for r in range(p):
-            if rng.random() < density:
-                mask |= 1 << r
-        access.append(mask)
+    access = random_masks(rng, n, p, density)
     d = 1 + pick(config.max_d)
     choice = pick(config.max_t + 1)
     t = p if choice == config.max_t else min(choice + 1, p)

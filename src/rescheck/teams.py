@@ -212,6 +212,16 @@ def dp_search(
     return teams, len(failed) + len(stack)
 
 
+def require_class_budget(inst: Instance, limits: Limits, budget: str) -> None:
+    """Raise BudgetError, naming the caller's budget, when inst's 2^|P|
+    neighborhood classes exceed limits.max_classes."""
+    if (1 << inst.num_resources) > limits.max_classes:
+        raise BudgetError(
+            f"{budget} budget: 2^|P| = {1 << inst.num_resources} classes "
+            f"exceeds {limits.max_classes}"
+        )
+
+
 def enumerate_configurations(
     inst: Instance, *, limits: Limits = DEFAULT_LIMITS
 ) -> list[tuple[int, ...]]:
@@ -223,11 +233,7 @@ def enumerate_configurations(
     number of candidate families examined is budgeted.
     """
     require_normalized(inst)
-    if (1 << inst.num_resources) > limits.max_classes:
-        raise BudgetError(
-            f"configuration budget: 2^|P| = {1 << inst.num_resources} classes "
-            f"exceeds {limits.max_classes}"
-        )
+    require_class_budget(inst, limits, "configuration")
     masks = list(inst.classes)
     full = inst.target
     t = int(inst.t)
@@ -256,8 +262,6 @@ def enumerate_configurations(
                 extend(i + 1, chosen, new_union)
             chosen.pop()
 
-    if full == 0:
-        return []
     extend(0, [], 0)
     configs.sort(key=lambda c: (len(c), c))
     return configs

@@ -115,6 +115,27 @@ class TestHittingSet:
         assert block["expected"] == "UNSAT"
         assert "seed" not in block
 
+    def test_no_sets_is_refused(self):
+        with pytest.raises(ValueError, match="at least one set"):
+            from_hitting_set(["v1", "v2"], [], 1)
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: from_hitting_set(["v1", "v1"], [("v1", "v2")], 1), "element"),
+        # (a, b+c) and (a+b, c) both name the gap resource "gap:a+b+c"
+        (lambda: from_hitting_set(["a", "b+c", "a+b", "c"], [("a", "b+c", "c")], 1), "resource"),
+        (lambda: from_3dm(["x", "x"], ["y1", "y2"], ["z1", "z2"], [], 1), "axis element"),
+        (lambda: from_domatic(["v", "v"], [], 1), "vertex"),
+        (lambda: from_set_cover(["e", "e"], [], 1), "universe element"),
+    ],
+    ids=["hitting-set-elements", "hitting-set-resources", "3dm-axis", "domatic", "set-cover"],
+)
+def test_colliding_labels_are_refused(build, what):
+    with pytest.raises(ValueError, match=f"^{what} labels collide"):
+        build()
+
 
 class TestThreeDimensionalMatching:
     def test_single_edge_single_team(self):

@@ -182,6 +182,22 @@ class TestRule2:
         with pytest.raises(ValueError, match="outside X"):
             rule2_apply(x, bad)
 
+    @pytest.mark.parametrize(
+        "witness, message",
+        [
+            (ExpansionWitness(frozenset(), frozenset({0}), ((0, 0),)), "must name"),
+            (ExpansionWitness(frozenset({0}), frozenset(), ((0, 0),)), "must name"),
+            (ExpansionWitness(frozenset({0}), frozenset({0, 1}), ((1, 0),)),
+             "resource 1 outside X"),
+            (ExpansionWitness(frozenset({0}), frozenset({0}), ((0, 1),)), "user 1 outside Y"),
+        ],
+        ids=["empty-x", "empty-y", "pair-resource-outside-x", "pair-user-outside-y"],
+    )
+    def test_rejects_forged_witnesses(self, witness, message):
+        x = norm([[0], [0], [1]], p=2, d=1, t=INF)
+        with pytest.raises(ValueError, match=message):
+            rule2_apply(x, witness)
+
 
 class TestKernelize:
     def test_requires_zero_removals(self):
@@ -291,3 +307,18 @@ class TestLiftTeams:
             verdict.witness = lifted
             assert verify_witness(x, verdict)
             checked += 1
+
+    def test_a_forged_step_short_of_d_users_is_rejected(self):
+        x = norm([[0]] * 3, p=1, d=2, t=INF)
+        step = KernelStep(rule=2, users=("u0",), resources=("r0",), expansion=(("r0", "u0"),))
+        empty = TeamSet((frozenset(), frozenset()))
+        with pytest.raises(ValueError, match="d users per resource"):
+            lift_teams(x, x, KernelTrace((step,)), empty)
+
+    def test_a_label_the_original_lacks_is_rejected(self):
+        x = norm([[0]] * 3, p=1, d=1, t=INF)
+        step = KernelStep(
+            rule=2, users=("ghost",), resources=("r0",), expansion=(("r0", "ghost"),)
+        )
+        with pytest.raises(ValueError, match="unknown user 'ghost'"):
+            lift_teams(x, x, KernelTrace((step,)), TeamSet((frozenset(),)))

@@ -55,6 +55,14 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(access=(1,), num_resources=1, target=1, resource_labels=("a", "b"))
 
+    def test_built_from_lists_equals_built_from_tuples(self):
+        lists = Instance(access=[1, 1], num_resources=1, target=1, user_labels=["a", "b"],
+                         resource_labels=["r"])
+        tuples = Instance(access=(1, 1), num_resources=1, target=1, user_labels=("a", "b"),
+                          resource_labels=("r",))
+        assert lists == tuples
+        assert hash(lists) == hash(tuples)
+
 
 class TestNeighborhood:
     def test_union_of_masks(self):
@@ -239,6 +247,10 @@ class TestVerifyWitness:
     def test_rejects_witness_that_does_not_prove_the_answer(self, answer, witness):
         x = inst([[0], [0]], p=1, s=1, d=2, t=1)
         assert not verify_witness(x, Verdict(answer, witness, SolveStats("x")))
+
+    def test_witness_of_no_known_kind_is_rejected(self):
+        x = inst([[0]], p=1)
+        assert verify_witness(x, Verdict("SAT", frozenset({0}), SolveStats("x"))) is False
 
     def test_missing_witness_raises(self):
         x = inst([[0]], p=1)

@@ -300,3 +300,47 @@ class TestTraces:
         })
         with pytest.raises(InstanceFormatError, match=r"steps\[0\].expansion"):
             parse_trace(text)
+
+
+VERDICT = {"version": 1, "answer": "SAT", "algorithm": "dp"}
+TRACE = {"version": 1, "trivially_sat": False, "steps": []}
+
+
+def _parse_verdict(text):
+    return parse_verdict(text, norm([[0]], p=1, d=1, t=1))
+
+
+@pytest.mark.parametrize(
+    "parse, base, overrides, path",
+    [
+        (parse_instance_document, None, {"resources": ["db", 3]}, "resources"),
+        (parse_instance_document, None, {"users": {"id": "alice"}}, "users"),
+        (parse_instance_document, None, {"users": [{"resources": ["db"]}]}, "users[0]"),
+        (parse_instance_document, None, {"policy": ["db"]}, "policy"),
+        (parse_instance_document, None, {"provenance": "random"}, "provenance"),
+        (_parse_verdict, VERDICT, {"witness": {"teams": ["u0"]}}, "witness.teams"),
+        (_parse_verdict, VERDICT, {"witness": {"blocker": "u0"}}, "witness.blocker"),
+        (_parse_verdict, VERDICT, {"witness": "u0"}, "witness"),
+        (_parse_verdict, VERDICT, {"algorithm": 7}, "algorithm"),
+        (_parse_verdict, VERDICT, {"stats": [0]}, "stats"),
+        (_parse_verdict, VERDICT, {"stats": {"nodes": 0, "extras": []}}, "stats.extras"),
+        (parse_trace, TRACE, {"steps": {}}, "steps"),
+        (parse_trace, TRACE, {"steps": [[1]]}, "steps[0]"),
+        (parse_trace, TRACE, {"steps": [{"rule": 1, "users": "u0"}]}, "steps[0].users"),
+        (parse_trace, TRACE, {"steps": [{"rule": 1, "resources": [0]}]}, "steps[0].resources"),
+        (parse_trace, TRACE, {"trivially_sat": "no"}, "trivially_sat"),
+    ],
+    ids=[
+        "resources-not-strings", "users-not-a-list", "user-without-id",
+        "policy-not-an-object", "provenance-not-an-object",
+        "teams-not-lists", "blocker-not-a-list", "witness-of-no-kind",
+        "algorithm-not-a-string", "stats-not-an-object", "extras-not-an-object",
+        "steps-not-a-list", "step-not-an-object", "step-users-not-strings",
+        "step-resources-not-strings", "trivially-sat-not-a-boolean",
+    ],
+)
+def test_malformed_field_is_refused_under_its_path(parse, base, overrides, path):
+    text = doc(**overrides) if base is None else json.dumps({**base, **overrides})
+    with pytest.raises(InstanceFormatError) as err:
+        parse(text)
+    assert str(err.value).startswith(f"{path}: ")

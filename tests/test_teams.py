@@ -481,6 +481,10 @@ class TestIlpFeasible:
         teams = reconstruct_teams(class_partition(x), {(0b11,): 1, (0b01, 0b10): 1})
         assert teams.teams == (frozenset({0}), frozenset({1, 2}))
 
+    def test_reconstruct_refuses_a_vector_that_overdraws_a_pool(self):
+        with pytest.raises(RuntimeError, match="exhausted"):
+            reconstruct_teams({0b1: (0,)}, {(0b1,): 2})
+
 
 class TestIlpSolve:
     def test_counts_configurations(self):
