@@ -10,7 +10,9 @@ diagnostics and progress go to standard error.
 
 Budgets are flags with safe defaults, never environment variables:
 every algorithm here is exponential in something, and a run must fail
-loudly instead of hanging.
+loudly instead of hanging. solve's budget flags are the fields of
+Limits, and sweep's grid flags fields of SweepConfig; each flag takes
+its name, default and help text from its field.
 
 ``main(argv)`` may be called repeatedly in one process. Each call is
 independent and returns the exit code, usage errors and ``--help``
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields, replace
+from dataclasses import Field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +43,6 @@ from .generators import (
 )
 from .kernel import kernelize
 from .policy import (
-    DEFAULT_LIMITS,
     INF,
     BudgetError,
     Instance,
@@ -66,6 +67,10 @@ EXIT_UNSAT = 1
 EXIT_ERROR = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# The SweepConfig fields that are sweep flags; the random cells' sizes
+# are not.
+SWEEP_FLAGS = ("max_n", "max_p", "max_s", "max_d", "max_t", "seeds")
 
 
 def _read(path: str) -> str:
@@ -140,14 +145,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        max_n=args.max_n,
-        max_p=args.max_p,
-        max_s=args.max_s,
-        max_d=args.max_d,
-        max_t=args.max_t,
-        seeds=args.seeds,
-    )
+    config = SweepConfig(**{name: getattr(args, name) for name in SWEEP_FLAGS})
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     report = run_sweep(config, progress=progress)
     print(f"relations         {report.relations}")
@@ -170,7 +168,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "baseline": bad.baseline,
             "expected": bad.expected,
             "got": bad.got,
-            "detail": bad.detail,
         }
     }
     Path(args.reproducer).write_text(
@@ -192,6 +189,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_SAT
     print("witness invalid")
     return EXIT_UNSAT
+
+
+def _add_field_flags(
+    parser: argparse.ArgumentParser, settings: Sequence[Field], suffix: str = ""
+) -> None:
+    # One integer flag per dataclass field, named after it, with the
+    # field's default and its metadata["help"], if any, as help text.
+    for f in settings:
+        text = f.metadata.get("help")
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=int,
+            default=f.default,
+            help=text and text + suffix,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,30 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--stats", action="store_true", help="include search statistics in the verdict"
     )
-    p_solve.add_argument(
-        "--dp-bits",
-        type=int,
-        default=DEFAULT_LIMITS.dp_bits,
-        help="largest allowed d*|P| for the dp solver (default %(default)s)",
-    )
-    p_solve.add_argument(
-        "--max-classes",
-        type=int,
-        default=DEFAULT_LIMITS.max_classes,
-        help="largest allowed 2^|P| for class-based solvers (default %(default)s)",
-    )
-    p_solve.add_argument(
-        "--oracle-users",
-        type=int,
-        default=DEFAULT_LIMITS.oracle_users,
-        help="largest user count the brute-force oracle accepts (default %(default)s)",
-    )
-    p_solve.add_argument(
-        "--max-configs",
-        type=int,
-        default=DEFAULT_LIMITS.max_configs,
-        help="cap on enumerated team configurations (default %(default)s)",
-    )
+    _add_field_flags(p_solve, fields(Limits), " (default %(default)s)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_kern = sub.add_parser(
@@ -295,13 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="cross-validate every solver against the oracle"
     )
-    p_sweep.add_argument("--max-n", type=int, default=5)
-    p_sweep.add_argument("--max-p", type=int, default=3)
-    p_sweep.add_argument("--max-s", type=int, default=2)
-    p_sweep.add_argument("--max-d", type=int, default=2)
-    p_sweep.add_argument("--max-t", type=int, default=3)
-    p_sweep.add_argument(
-        "--seeds", type=int, default=1000, help="random instances after the grid (0: none)"
+    _add_field_flags(
+        p_sweep, [f for f in fields(SweepConfig) if f.name in SWEEP_FLAGS]
     )
     p_sweep.add_argument(
         "--reproducer",

@@ -285,7 +285,6 @@ def from_3dm(
         own = (1 << j) | (1 << (m + j)) | (1 << (2 * m + j))
         access.append(star | (slot_all & ~own))
         user_labels.append(f"edge:{j + 1}")
-    _unique_labels(user_labels, "user")
 
     instance = Instance(
         access=tuple(access),

@@ -91,7 +91,7 @@ def find_d_expansion(inst: Instance, d: int) -> ExpansionWitness | None:
     for u, mask in enumerate(inst.access):
         if not mask:
             raise PreconditionError("find_d_expansion requires Rule 1 applied first")
-    if n < d * p or p == 0:
+    if n < d * p:
         return None
 
     alive = (1 << p) - 1
@@ -223,7 +223,7 @@ def kernelize(inst: Instance) -> tuple[Instance, KernelTrace]:
     require_normalized(inst)
     if inst.s != 0:
         raise PreconditionError("kernelize requires s=0")
-    if inst.num_resources and inst.t < inst.num_resources:
+    if inst.t < inst.num_resources:
         raise PreconditionError(
             "kernelize requires unbounded team size (t >= |P|); "
             "finite t does not admit this reduction"

@@ -155,13 +155,25 @@ class Limits:
     """Search budgets; solvers fail loudly with BudgetError beyond them.
 
     Every field must be non-negative; zero is a valid budget that admits
-    nothing, or only the smallest case, of its solver.
+    nothing, or only the smallest case, of its solver. Each field is a
+    `rescheck solve` flag (dp_bits is --dp-bits) with the field's
+    default, and its metadata["help"] is the flag's help text.
     """
 
-    dp_bits: int = 24
-    max_classes: int = 4096
-    oracle_users: int = 20
-    max_configs: int = 200_000
+    dp_bits: int = field(
+        default=24, metadata={"help": "largest allowed d*|P| for the dp solver"}
+    )
+    max_classes: int = field(
+        default=4096,
+        metadata={"help": "largest allowed 2^|P| for class-based solvers"},
+    )
+    oracle_users: int = field(
+        default=20,
+        metadata={"help": "largest user count the brute-force oracle accepts"},
+    )
+    max_configs: int = field(
+        default=200_000, metadata={"help": "cap on enumerated team configurations"}
+    )
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():

@@ -16,6 +16,9 @@ is UNSAT exactly when that cardinality is at most s. The same pass also
 answers every non-oracle blocker check, through its memo of s=0
 verdicts by survivor set; the oracle's own blocker is checked without
 that memo, independently of the pass that found it.
+
+Every solver runs under SweepConfig.limits. The first disagreement
+ends the sweep: the report holds it alone, and its counts stop there.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
+from typing import ClassVar, Iterator, NoReturn
 
 from .blockers import STRATEGIES, outside_domain
-from .generators import random_masks
+from .generators import _pick_index, random_masks
 from .oracle import solve_rcp_bruteforce
 from .policy import (
     DEFAULT_LIMITS,
@@ -44,12 +47,18 @@ from .policy import (
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """The sweep's grid. Every field but random_max_n and random_max_p
+    is a `rescheck sweep` flag (max_n is --max-n) with the field's
+    default, and its metadata["help"], if any, is the flag's help text."""
+
     max_n: int = 5
     max_p: int = 3
     max_s: int = 2
     max_d: int = 2
     max_t: int = 3  # finite team sizes 1..max_t; the unbounded case is always included
-    seeds: int = 1000
+    seeds: int = field(
+        default=1000, metadata={"help": "random instances after the grid (0: none)"}
+    )
     random_max_n: int = 10
     random_max_p: int = 4
     # Not a field: every sweep runs its solvers under the default
@@ -65,7 +74,6 @@ class Disagreement:
     expected: str
     got: str
     instance: Instance
-    detail: str = ""
 
 
 @dataclass
@@ -99,15 +107,17 @@ def _blocker_class_gap(inst: Instance, blocker: BlockerSet) -> str | None:
     return None
 
 
+class _Stop(Exception):
+    """Raised by _Runner.flag: the first disagreement ends the sweep."""
+
+
 class _Runner:
     def __init__(self, report: SweepReport):
         self.report = report
 
-    def stop(self) -> bool:
-        return bool(self.report.disagreements)
-
-    def flag(self, **kwargs) -> None:
+    def flag(self, **kwargs) -> NoReturn:
         self.report.disagreements.append(Disagreement(**kwargs))
+        raise _Stop
 
     def check_witness(
         self,
@@ -153,7 +163,7 @@ class _Runner:
         for name in STRATEGIES:
             if name == "oracle" or outside_domain(inst, name) is not None:
                 continue
-            verdict = STRATEGIES[name](inst, DEFAULT_LIMITS)
+            verdict = STRATEGIES[name](inst, SweepConfig.limits)
             self.report.solver_runs += 1
             self.report.runs_by_algorithm[name] = (
                 self.report.runs_by_algorithm.get(name, 0) + 1
@@ -169,8 +179,6 @@ class _Runner:
                 )
             self.check_witness(inst, verdict, name, memo)
             self.check_bounds(inst, verdict, name)
-            if self.stop():
-                return
 
     def run_family(self, base: Instance) -> None:
         """One relation with fixed d and t, all removal budgets 0..s."""
@@ -198,8 +206,6 @@ class _Runner:
                     got=complaint,
                     instance=base,
                 )
-                if self.stop():
-                    return
 
         for s in range(base.s + 1):
             inst = replace(base, s=s)
@@ -210,11 +216,7 @@ class _Runner:
                 self.check_witness(inst, Verdict(UNSAT, blocker, overall.stats), "oracle")
             if expected == SAT and s == 0:
                 self.check_witness(inst, memo[(1 << base.n) - 1], "oracle")
-            if self.stop():
-                return
             self.run_cell(inst, expected, memo)
-            if self.stop():
-                return
 
 
 def _team_sizes(config: SweepConfig, p: int) -> list[int]:
@@ -223,60 +225,52 @@ def _team_sizes(config: SweepConfig, p: int) -> list[int]:
     return sorted(sizes)
 
 
-def run_sweep(config: SweepConfig = SweepConfig(), *, progress=None) -> SweepReport:
-    """Run both grids; any Disagreement in the report is a bug witness."""
-    report = SweepReport()
-    runner = _Runner(report)
-    start = time.perf_counter()
-
+def _relations(config: SweepConfig, progress) -> Iterator[list[Instance]]:
+    """Each relation of both grids, as the families run on it."""
     for n in range(1, config.max_n + 1):
         for p in range(1, config.max_p + 1):
             if progress is not None:
                 progress(f"exhaustive n={n} p={p}: {2 ** (n * p)} relations")
             full = (1 << p) - 1
             for bits in range(2 ** (n * p)):
-                report.relations += 1
                 access = tuple((bits >> (u * p)) & full for u in range(n))
-                for d in range(1, config.max_d + 1):
-                    for t in _team_sizes(config, p):
-                        base = Instance(
-                            access=access,
-                            num_resources=p,
-                            target=full,
-                            s=config.max_s,
-                            d=d,
-                            t=t,
-                        )
-                        runner.run_family(base)
-                        if runner.stop():
-                            report.seconds = time.perf_counter() - start
-                            return report
+                yield [
+                    Instance(access, p, full, s=config.max_s, d=d, t=t)
+                    for d in range(1, config.max_d + 1)
+                    for t in _team_sizes(config, p)
+                ]
 
     for seed in range(config.seeds):
         if progress is not None and seed % 200 == 0:
             progress(f"random instances: {seed}/{config.seeds}")
-        inst = _random_cell(config, seed)
-        report.relations += 1
-        runner.run_family(inst)
-        if runner.stop():
-            break
+        yield [_random_cell(config, seed)]
 
+
+def run_sweep(config: SweepConfig = SweepConfig(), *, progress=None) -> SweepReport:
+    """Run both grids up to the first disagreement, which the report
+    then holds as a bug witness."""
+    report = SweepReport()
+    runner = _Runner(report)
+    start = time.perf_counter()
+    try:
+        for families in _relations(config, progress):
+            report.relations += 1
+            for base in families:
+                runner.run_family(base)
+    except _Stop:
+        pass
     report.seconds = time.perf_counter() - start
     return report
 
 
 def _random_cell(config: SweepConfig, seed: int) -> Instance:
     rng = random.Random(seed)
-
-    def pick(size: int) -> int:
-        return int(rng.random() * size)
-
-    n = 1 + pick(config.random_max_n)
-    p = 1 + pick(config.random_max_p)
+    n = 1 + _pick_index(rng, config.random_max_n)
+    p = 1 + _pick_index(rng, config.random_max_p)
     density = 0.15 + 0.7 * rng.random()
     access = random_masks(rng, n, p, density)
-    d = 1 + pick(config.max_d)
-    choice = pick(config.max_t + 1)
+    d = 1 + _pick_index(rng, config.max_d)
+    choice = _pick_index(rng, config.max_t + 1)
     t = p if choice == config.max_t else min(choice + 1, p)
     return Instance(
         access=tuple(access),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,8 @@ from rescheck.cli import (
     EXIT_UNSAT,
     main,
 )
-from rescheck.policy import SolveStats, Verdict
+from rescheck.policy import Limits, SolveStats, Verdict
+from rescheck.sweep import SweepConfig, SweepReport
 
 
 def write_instance(path, x: Instance, provenance=None) -> str:
@@ -512,3 +514,79 @@ def test_library_and_cli_agree(tmp_path, capsys):
     capsys.readouterr()
     v = solve(normalize(x))
     assert code == (EXIT_SAT if v.sat else EXIT_UNSAT)
+
+
+class TestParserDefaults:
+    """Each budget and grid flag is declared by its dataclass field."""
+
+    def test_solve_flags_carry_every_limits_default(self):
+        args = cli.build_parser().parse_args(["solve", "x"])
+        for f in fields(Limits):
+            assert getattr(args, f.name) == f.default
+
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("solve", [
+                "--dp-bits DP_BITS largest allowed d*|P| for the dp solver (default 24)",
+                "--max-classes MAX_CLASSES largest allowed 2^|P| for class-based "
+                "solvers (default 4096)",
+                "--oracle-users ORACLE_USERS largest user count the brute-force "
+                "oracle accepts (default 20)",
+                "--max-configs MAX_CONFIGS cap on enumerated team configurations "
+                "(default 200000)",
+            ]),
+            ("sweep", [
+                "--max-n MAX_N --max-p MAX_P --max-s MAX_S --max-d MAX_D --max-t MAX_T "
+                "--seeds SEEDS random instances after the grid (0: none)",
+            ]),
+        ],
+    )
+    def test_help_text_comes_from_the_fields(self, command, lines, capsys):
+        assert main([command, "--help"]) == EXIT_SAT
+        text = " ".join(capsys.readouterr().out.split())
+        for line in lines:
+            assert line in text
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def record(config, progress=None):
+            seen.append(config)
+            return SweepReport()
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        return seen
+
+    def test_bare_sweep_runs_the_default_config(self, configs, capsys):
+        args = cli.build_parser().parse_args(["sweep"])
+        assert args.func(args) == EXIT_SAT
+        assert configs == [SweepConfig()]
+
+    def test_sweep_flags_reach_the_config(self, configs, capsys):
+        args = cli.build_parser().parse_args(
+            ["sweep", "--max-n", "1", "--max-p", "2", "--max-s", "0",
+             "--max-d", "3", "--max-t", "4", "--seeds", "5"]
+        )
+        assert args.func(args) == EXIT_SAT
+        assert configs == [SweepConfig(max_n=1, max_p=2, max_s=0, max_d=3, max_t=4, seeds=5)]
+
+    def test_reproducer_names_the_disagreement_only(self, tmp_path, capsys, monkeypatch):
+        real = STRATEGIES["dp"]
+
+        def liar(x, limits):
+            v = real(x, limits)
+            return Verdict("UNSAT" if v.sat else "SAT", None, v.stats)
+
+        monkeypatch.setitem(STRATEGIES, "dp", liar)
+        repro = tmp_path / "repro.json"
+        code = main([
+            "sweep", "--max-n", "1", "--max-p", "1", "--max-s", "0",
+            "--max-d", "1", "--max-t", "1", "--seeds", "0", "--quiet",
+            "--reproducer", str(repro),
+        ])
+        assert code == EXIT_UNSAT
+        note = json.loads(repro.read_text())["provenance"]["sweep-disagreement"]
+        assert note.keys() == {"kind", "algorithm", "baseline", "expected", "got"}
+        assert (note["kind"], note["algorithm"]) == ("answer", "dp")

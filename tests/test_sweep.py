@@ -5,7 +5,7 @@ from __future__ import annotations
 import rescheck.oracle
 import rescheck.policy
 import rescheck.sweep
-from rescheck import UNSAT, BlockerSet, Verdict, class_partition
+from rescheck import SAT, UNSAT, BlockerSet, Limits, Verdict, class_partition
 from rescheck.sweep import SweepConfig, run_sweep
 
 SMALL = SweepConfig(max_n=3, max_p=2, seeds=40)
@@ -112,3 +112,39 @@ def test_oracle_blocker_leaving_a_spare_user_is_flagged(monkeypatch):
     assert [(d.kind, d.algorithm, d.baseline) for d in report.disagreements] == [
         ("minimal-blocker", "oracle", "class-inequality")
     ]
+
+
+def test_a_verdict_wrong_twice_is_reported_once(monkeypatch):
+    # A dp that flips its answer but keeps its teams is wrong in the
+    # answer and in the witness; the first disagreement ends the sweep,
+    # so only the answer is reported
+    real = rescheck.sweep.STRATEGIES["dp"]
+
+    def flipped(inst, limits):
+        verdict = real(inst, limits)
+        answer = UNSAT if verdict.sat else SAT
+        return Verdict(answer, verdict.witness, verdict.stats)
+
+    strategies = dict(rescheck.sweep.STRATEGIES, dp=flipped)
+    monkeypatch.setattr(rescheck.sweep, "STRATEGIES", strategies)
+    report = run_sweep(SMALL)
+    assert [(d.kind, d.algorithm) for d in report.disagreements] == [("answer", "dp")]
+
+
+def test_solvers_run_under_the_recorded_budgets(monkeypatch):
+    # The budgets a sweep reports with its run are the ones its solvers get
+    seen = set()
+    real = dict(rescheck.sweep.STRATEGIES)
+
+    def recording(name):
+        def run(inst, limits):
+            seen.add(limits)
+            return real[name](inst, limits)
+
+        return run
+
+    strategies = {name: recording(name) for name in real}
+    monkeypatch.setattr(rescheck.sweep, "STRATEGIES", strategies)
+    monkeypatch.setattr(SweepConfig, "limits", Limits(max_configs=10**6))
+    assert run_sweep(SweepConfig(max_n=2, max_p=2, seeds=5)).ok
+    assert seen == {Limits(max_configs=10**6)}
