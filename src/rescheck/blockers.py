@@ -22,8 +22,14 @@ the kept users alone, core(kept), which returns (teams | None, nodes),
 None exactly on UNSAT. It runs on bare data, with no sub-instance: the
 dp search, the pivot search or the configuration search on the kept
 users' masks, the last over one configuration list per search with the
-kept users' class sizes as capacities. fastpath_d1_tinf answers the
-single-team unbounded-size case by counting coverage.
+kept users' class sizes as capacities. Under "auto" the core is built
+pivot-first on the dp and ilp rungs: each call tries the pivot search
+capped at teams.PIVOT_FIRST_NODES states and falls back to the rung's
+search on that cap, and --stats extras count both outcomes
+(pivot_answered, pivot_fallbacks). Named strategies, and the sweep,
+which calls STRATEGIES directly, run the rung's search alone.
+fastpath_d1_tinf answers the single-team unbounded-size case by
+counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -185,6 +191,7 @@ def _search(
     expand: Callable,
     root: object,
     explored: set[int] | None = None,
+    pivot_first: bool = False,
 ) -> Verdict:
     """The depth-first removal search under branch_solve and reduced_solve.
 
@@ -211,10 +218,14 @@ def _search(
     them in one user whom a swap replaces (_swap_covers). The screen
     answers SAT only where the core would, so node counts and blockers
     are as without it.
+
+    With pivot_first the core is built pivot-first (teams.s0_core) and
+    counts its attempts into the stats extras.
     """
     rung = _rung(inst, limits)
-    core = teams.s0_core(inst, rung, limits)
     stats = SolveStats(algorithm=f"{route}+{rung}")
+    counts = stats.extras if pivot_first else None
+    core = teams.s0_core(inst, rung, limits, pivot_counts=counts)
     store: list[tuple[int, TeamSet]] = []
     stack = [(0, True, root)]
     while stack:
@@ -239,7 +250,9 @@ def _search(
     return Verdict(SAT, witness, stats)
 
 
-def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def branch_solve(
+    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
+) -> Verdict:
     """Branching search for a blocker of size at most s, on _search.
 
     The child rule: a node with budget left has one child per member of
@@ -267,10 +280,14 @@ def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
                 members ^= low
         return children
 
-    return _search(inst, limits, "branch", branches, inst.s, explored=set())
+    return _search(
+        inst, limits, "branch", branches, inst.s, explored=set(), pivot_first=pivot_first
+    )
 
 
-def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def reduced_solve(
+    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
+) -> Verdict:
     """Blocker search over per-class deletion counts, on _search.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
@@ -304,7 +321,7 @@ def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict
                 children.append((removed_mask | drop, False, (idx + 1, cost + k + spare)))
         return children
 
-    verdict = _search(inst, limits, "reduced", deletions, (0, 0))
+    verdict = _search(inst, limits, "reduced", deletions, (0, 0), pivot_first=pivot_first)
     verdict.stats.extras["reduced_users"] = sum(
         min(len(users), inst.d) for users in inst.classes.values()
     )
@@ -359,6 +376,17 @@ STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
     "branch": lambda inst, limits: branch_solve(inst, limits=limits),
     "reduced": lambda inst, limits: reduced_solve(inst, limits=limits),
     "fastpath": lambda inst, limits: fastpath_d1_tinf(inst),
+}
+
+
+# The strategies "auto" dispatches: the named ones, with every core
+# route's s=0 core built pivot-first (teams.s0_core).
+_AUTO_STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
+    **STRATEGIES,
+    "dp": lambda inst, limits: teams.dp_solve(inst, limits=limits, pivot_first=True),
+    "ilp": lambda inst, limits: teams.ilp_solve(inst, limits=limits, pivot_first=True),
+    "branch": lambda inst, limits: branch_solve(inst, limits=limits, pivot_first=True),
+    "reduced": lambda inst, limits: reduced_solve(inst, limits=limits, pivot_first=True),
 }
 
 
@@ -435,15 +463,17 @@ def solve(
     are the inner solvers of the branching search or the class-reduced
     search, picked per instance by their counted and bounded search
     sizes (see _auto); past them it takes the branching search over the
-    pivot search at every s. The verdict's stats name the route taken. A
-    named strategy outside the instance's domain (see outside_domain)
-    raises PreconditionError.
+    pivot search at every s. Every core it runs on the dp and ilp rungs
+    tries a capped pivot search first (teams.s0_core). The verdict's
+    stats name the route taken. A named strategy outside the instance's
+    domain (see outside_domain) raises PreconditionError.
     """
     require_normalized(inst)
+    runners = STRATEGIES
     if strategy == "auto":
-        strategy = _auto(inst, limits)
+        strategy, runners = _auto(inst, limits), _AUTO_STRATEGIES
     try:
-        runner = STRATEGIES[strategy]
+        runner = runners[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
     reason = outside_domain(inst, strategy)

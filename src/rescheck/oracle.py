@@ -57,7 +57,8 @@ def solve_s0_bruteforce(
     teams or to none. A team only accepts a user while below the size
     cap and only when the user covers something the team still needs;
     dropping a useless member never invalidates a team, so this loses
-    no solutions. Dead states, keyed by the multiset of per-team
+    no solutions. A state with a full team that still misses a resource
+    is dead on entry. Dead states, keyed by the multiset of per-team
     (remaining demand, size) pairs, are memoized so identical futures
     are not re-searched. On success the teams are reported sorted by
     smallest member index. The search keeps one frame per user on an
@@ -95,6 +96,8 @@ def solve_s0_bruteforce(
             return True
         if i == n or n - i < len(pending):
             return False
+        if any(demand and size >= t for demand, size in states):
+            return False  # a full team still misses a resource
         union_needed = 0
         for demand in pending:
             union_needed |= demand

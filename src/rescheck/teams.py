@@ -20,6 +20,14 @@ teams remapped to the caller's numbering. The blocker searches call it
 at every node, and solve_s0, behind the dp and ilp routes, calls it
 once on every user.
 
+Built pivot-first, as "auto" builds it, a dp or ilp core tries each
+call with pivot_search capped at PIVOT_FIRST_NODES states first, and
+only on that cap falls back to the rung's own search: a finished pivot
+search is exact, and a cap hit never reads as UNSAT. Its --stats extras
+count the calls the attempt answered (pivot_answered) and the ones that
+fell back (pivot_fallbacks). The named routes build the rung's search
+alone.
+
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
 """
@@ -361,9 +369,15 @@ def reconstruct_teams(
 # (d*t)^i of them.
 PIVOT_MAX_NODES = 500_000
 
+# States the pivot attempt of a pivot-first core (s0_core) may enter
+# before its call falls back to the rung's own search. All 637 attempts
+# on perfbench's seed-1 and seed-101 solve-resilience corpora finished
+# within it; an attempt that reaches it costs about 2 ms.
+PIVOT_FIRST_NODES = 1_000
+
 
 def pivot_search(
-    access: Sequence[int], p: int, d: int, t: int
+    access: Sequence[int], p: int, d: int, t: int, limit: int | None = None
 ) -> tuple[list[set[int]] | None, int]:
     """Are there d disjoint teams of at most t users, drawn from the
     users with these access masks, that each reach all p >= 1 resources?
@@ -383,12 +397,14 @@ def pivot_search(
     of users taken); what lies below a state depends on nothing else,
     so states that fail are memoized. The stack holds one frame per
     pick, with no Python recursion, and every state entered counts
-    against PIVOT_MAX_NODES. Teams come back in the order they were
-    filled.
+    against limit, PIVOT_MAX_NODES by default. Teams come back in the
+    order they were filled. Each resource's list of reachers is built
+    when a state first branches on it.
     """
     full = (1 << p) - 1
-    reach = [[u for u, mask in enumerate(access) if mask >> r & 1] for r in range(p)]
-    limit = PIVOT_MAX_NODES
+    reach: list[list[int] | None] = [None] * p
+    if limit is None:
+        limit = PIVOT_MAX_NODES
     nodes = 0
     failed: set[tuple[int, int, int, int]] = set()
     frames: list[tuple[tuple[int, int, int, int], Iterator[int]]] = []
@@ -400,7 +416,11 @@ def pivot_search(
             raise BudgetError(f"node budget: pivot search exceeds {limit} nodes")
         if state[2] < t and state not in failed:
             demand = state[1]
-            frames.append((state, iter(reach[(demand & -demand).bit_length() - 1])))
+            r = (demand & -demand).bit_length() - 1
+            users = reach[r]
+            if users is None:
+                users = reach[r] = [u for u, mask in enumerate(access) if mask >> r & 1]
+            frames.append((state, iter(users)))
         # Take the next unused candidate of the deepest open frame.
         while frames:
             (j, demand, size, used), options = frames[-1]
@@ -430,7 +450,11 @@ def pivot_search(
 
 
 def s0_core(
-    inst: Instance, rung: str, limits: Limits, extras: dict[str, int] | None = None
+    inst: Instance,
+    rung: str,
+    limits: Limits,
+    extras: dict[str, int] | None = None,
+    pivot_counts: dict[str, int] | None = None,
 ) -> Callable[[list[int]], tuple[TeamSet | None, int]]:
     """The s=0 core of a budget ladder rung: "dp", "ilp" or "pivot".
 
@@ -440,7 +464,15 @@ def s0_core(
     UNSAT, and the search's node count. ilp pools the positions by class
     mask, takes the pool sizes as the capacities and draws each team
     from the lowest positions of its classes; its one configuration
-    list, made on the first call, serves every call.
+    list, made on the first call that runs it, serves every later one.
+
+    pivot_counts, when given, builds the core pivot-first: on the dp and
+    ilp rungs with p >= 1, every call first runs pivot_search capped at
+    PIVOT_FIRST_NODES states. An attempt that finishes is exact and
+    answers the call; one that hits the cap says nothing, and the rung's
+    own search answers instead. The nodes are those of the search that
+    answered, and pivot_counts gets how many calls the attempt answered
+    (pivot_answered) and how many fell back (pivot_fallbacks).
 
     A dp rung past dp_bits raises BudgetError. extras, when given, get
     the rung's size: dp_bits, or the number of configurations.
@@ -471,6 +503,8 @@ def s0_core(
         return (None if vector is None else reconstruct_teams(pools, vector).teams), nodes
 
     search = {"dp": dp_search, "ilp": count_classes, "pivot": pivot_search}[rung]
+    if pivot_counts is not None and p and rung != "pivot":
+        search = _pivot_first(search, pivot_counts)
 
     def core(kept: list[int]) -> tuple[TeamSet | None, int]:
         found, nodes = search([access[u] for u in kept], p, d, t)
@@ -481,32 +515,58 @@ def s0_core(
     return core
 
 
-def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def _pivot_first(fallback: Callable, counts: dict[str, int]) -> Callable:
+    # fallback's search behind a pivot attempt capped at
+    # PIVOT_FIRST_NODES states; a cap hit falls back, never reads UNSAT.
+    counts["pivot_answered"] = 0
+    counts["pivot_fallbacks"] = 0
+
+    def search(masks: list[int], p: int, d: int, t: int):
+        try:
+            found = pivot_search(masks, p, d, t, PIVOT_FIRST_NODES)
+        except BudgetError:
+            counts["pivot_fallbacks"] += 1
+            return fallback(masks, p, d, t)
+        counts["pivot_answered"] += 1
+        return found
+
+    return search
+
+
+def solve_s0(
+    inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS, *, pivot_first: bool = False
+) -> Verdict:
     """The s=0 verdict of a rung's core run once on every user, those
-    who reach nothing included.
+    who reach nothing included; with pivot_first, the core is built
+    pivot-first (s0_core) and counts into the stats extras.
 
     With no target resource, d empty teams answer SAT before any budget
     is read. The verdict's stats carry the core's node count and, under
-    extras, its rung's size.
+    extras, its rung's size and any pivot attempt's counts.
     """
     require_normalized(inst)
     stats = SolveStats(algorithm=rung)
     if inst.num_resources == 0:
         # Empty target: d empty teams cover it vacuously.
         return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
-    found, stats.nodes = s0_core(inst, rung, limits, stats.extras)(list(range(inst.n)))
+    core = s0_core(inst, rung, limits, stats.extras, stats.extras if pivot_first else None)
+    found, stats.nodes = core(list(range(inst.n)))
     if found is None:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     return Verdict(SAT, found, stats)
 
 
-def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def dp_solve(
+    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
+) -> Verdict:
     """Team existence via DP over user prefixes and residual demands;
     the demand bit budget d*|P| is checked up front."""
-    return solve_s0(inst, "dp", limits)
+    return solve_s0(inst, "dp", limits, pivot_first=pivot_first)
 
 
-def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+def ilp_solve(
+    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
+) -> Verdict:
     """Configuration-counting solver, fixed-parameter in |P|.
 
     Whether d disjoint teams exist depends only on how many users each
@@ -514,4 +574,4 @@ def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     the possible team shapes, then search for per-shape multiplicities
     that sum to d without overdrawing any class.
     """
-    return solve_s0(inst, "ilp", limits)
+    return solve_s0(inst, "ilp", limits, pivot_first=pivot_first)

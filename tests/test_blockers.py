@@ -506,6 +506,51 @@ class TestRouting:
         assert solve(y).sat == solve_rcp_bruteforce(y).sat
 
 
+@pytest.mark.parametrize("cap", [1, rescheck.teams.PIVOT_FIRST_NODES], ids=["cap-1", "default-cap"])
+@pytest.mark.parametrize("rung", ["dp", "ilp"])
+@settings(max_examples=150, deadline=None)
+@given(x=instances(max_n=7, max_p=3, max_d=3))
+def test_pivot_first_auto_agrees_with_the_oracle(rung, cap, x):
+    # auto's pivot-first core on each rung, with the attempt falling
+    # back on nearly every call (cap 1) and answering nearly every call
+    # (the default cap): the oracle's answer, and witnesses that verify
+    y = normalize(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rescheck.teams, "PIVOT_FIRST_NODES", cap)
+        v = solve(y, limits=RUNGS[rung])
+    assert v.sat == solve_rcp_bruteforce(y).sat
+    if v.witness is not None:
+        assert verify_witness(y, v)
+    if v.stats.algorithm != "fastpath":
+        assert v.stats.algorithm.endswith(rung)
+
+
+def test_auto_at_p0_skips_the_pivot_attempt():
+    # no resource to pivot on: auto answers as before, d empty teams
+    # survive any removal, and the core makes no attempt
+    x = Instance(access=(0, 0, 0), num_resources=0, target=0, s=1, d=2, t=1)
+    v = solve(x)
+    assert (v.answer, v.stats.algorithm) == (SAT, "reduced+dp")
+    assert "pivot_answered" not in v.stats.extras
+
+
+@pytest.mark.parametrize("name", ["branch", "reduced"])
+def test_auto_counts_the_pivot_attempts_the_named_search_does_not(name, monkeypatch):
+    # the same search, auto's with its core built pivot-first: equal
+    # answers; every core call is counted once under auto, and the
+    # named search never calls pivot_search
+    x = normalize(random_instance(1, 14, 4, 0.5, s=1, d=2, t=3).instance)
+    calls = counting(monkeypatch, "pivot_search", "dp_search")
+    named = solve(x, name)
+    assert "pivot_search" not in calls and "pivot_answered" not in named.stats.extras
+    calls.clear()
+    v = rescheck.blockers._AUTO_STRATEGIES[name](x, DEFAULT_LIMITS)
+    assert v.answer == named.answer and v.stats.algorithm == named.stats.algorithm
+    extras = v.stats.extras
+    assert extras["pivot_answered"] + extras["pivot_fallbacks"] == calls.count("pivot_search")
+    assert extras["pivot_fallbacks"] == calls.count("dp_search")
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(max_n=6, max_p=3, max_d=2))
 def test_minimal_blockers_nearly_empty_touched_classes(x):

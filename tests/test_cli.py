@@ -123,13 +123,22 @@ class TestSolve:
         capsys.readouterr()
         assert main(["solve", path, "--algorithm", "reduced"]) == EXIT_BUDGET
         assert "error: configuration budget" in capsys.readouterr().err
-        # auto takes branch+ilp here, whose core has the same budget
-        assert main(["solve", path]) == EXIT_BUDGET
+        # branch+ilp's core has the same budget
+        assert main(["solve", path, "--algorithm", "branch"]) == EXIT_BUDGET
         assert "error: configuration budget" in capsys.readouterr().err
+        # auto takes branch+ilp too, but its one core call is answered by
+        # the pivot attempt, so the configuration list is never built;
+        # branch over the pivot core alone agrees
+        assert main(["solve", path, "--stats"]) == EXIT_SAT
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["algorithm"] == "branch+ilp"
+        assert doc["stats"]["extras"] == {"pivot_answered": 1, "pivot_fallbacks": 0}
+        pivot = ["--algorithm", "branch", "--dp-bits", "0", "--max-classes", "1"]
+        assert main(["solve", path, *pivot]) == EXIT_SAT
 
     def test_many_configurations_answer_without_recursion(self, tmp_path, capsys):
-        # d*p = 28 routes s = 0 to ilp: 22,820 configurations, one
-        # search level each
+        # d*p = 28 puts s = 0 on the ilp rung: 22,820 configurations,
+        # one search level each
         path = str(tmp_path / "x.json")
         assert main([
             "generate", "random", "--users", "200", "--resources", "7",
@@ -137,11 +146,20 @@ class TestSolve:
             "--seed", "1", "--out", path,
         ]) == EXIT_SAT
         capsys.readouterr()
-        assert main(["solve", path, "--stats"]) == EXIT_SAT
+        assert main(["solve", path, "--stats", "--algorithm", "ilp"]) == EXIT_SAT
         doc = json.loads(capsys.readouterr().out)
         assert (doc["answer"], doc["algorithm"]) == ("SAT", "ilp")
         assert doc["stats"]["nodes"] == 138_812
         assert doc["stats"]["extras"]["configurations"] == 22_820
+        # auto runs the same rung, with its pivot attempt answering first
+        assert main(["solve", path, "--stats", "--witness"]) == EXIT_SAT
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert (doc["answer"], doc["algorithm"]) == ("SAT", "ilp")
+        verdict = tmp_path / "v.json"
+        verdict.write_text(out, encoding="utf-8")
+        assert main(["verify", path, "--verdict", str(verdict)]) == EXIT_SAT
+        assert "witness ok" in capsys.readouterr().out
 
     @pytest.fixture
     def over_guard(self, tmp_path, capsys):

@@ -62,36 +62,36 @@ def _transcript(case: str, capsys) -> str:
 
 
 GOLDEN = {
-    "seed0": "cbcc5c54ea939102346072b26b13019bb438fc67cee5d49a88502871fd2a3b1f",
+    "seed0": "146f1a369353adcebe7cd6f79e2d3d56a5d2c26dd1bb0504de646abbe82249bf",
     "seed1": "c2ef0fc6199582e7969df23b230bddb0b2c311738143a0d44a0c34113555a951",
     "seed2": "d5f10e527e2849871a88fd3f5024260a8834d7ed511bcb130ad877171c7ac939",
-    "seed3": "a226b6890702dbb28768b11e7a5a3e46e2c0678d740f85b080d0c8cc99ecab4b",
-    "seed4": "a4fcc8d9f92bd85396213c6ee3b58ee995669264c7fc502614566b6d0651643e",
-    "seed5": "c6dfb7ef5dfa5795d9389f71c14aec5ab3a7b0aec7aa4b6b9ef777e83a620f68",
-    "seed6": "85dc19608a6a44c067024ddf8b3d49f4edecd9f146fdb47c4488c6a26cb01a28",
+    "seed3": "b1de22004e01dc00cc90c60b38857b95868d43ba81fc1a6bd59fcfd66ee0fb6c",
+    "seed4": "ec3f3aa404cd4c949280b2586a4587e703722d961665fb1cc67620ddce03c522",
+    "seed5": "be2db3305bc16643c86be3e2b317f3b16fbd1e8a969427b0eb80051413d2a7d0",
+    "seed6": "3d34361e7a1799e622d93025ddf346b90551c8453b3e31fcbf8a1d30c2ce832b",
     "seed7": "efd2abe073d5a9233cb13672fdc8ee44d0848015f3a02b41be7ae450ce2ce137",
-    "seed8": "007a4508387b3bb1e99883ff8b7ef2b8dd3118dad8f0dba39f25115bf4f3ae23",
-    "seed9": "4462bf3d16be919e9a555300997517e7407a97f71bf6f82ca394eb6c7194764f",
+    "seed8": "a2f799a5ca2760db191e12d65e6b0d88f89c29b1d95404bd9b91db4d35f07579",
+    "seed9": "3f362ff8f7611f1aed9116465720fb0065407e9a22bb2939fbae5034488429b2",
     "seed10": "25a3ec7b7ea9d952db967c03b8201b9e1cb38a08b9d99859da466ab814580e5c",
-    "seed11": "efda4b96af0d6bc9ee23dc6ebf5e9395dd18a0ce225ca940855e1902c4ccb24c",
-    "seed12": "bdb6775d9744571cc633e76abaa419cebcc5e7c006f16ede0f44593c43f6e918",
-    "seed13": "4345ff37feac92d1489730e035be587dc50b89592fc3b65d25990f79d5846251",
-    "seed14": "08bfb06735b94ce4a9e3e78bbbe7264bc4f95528c47c12d8cc8de55a4edcd4ce",
+    "seed11": "7fdd6ec61feb74b93b133ffb625cac16d8585c6db22ecf7e34bfe609e19f4866",
+    "seed12": "655656ae3ef21dd26b903bc522f53f868818ccb74eadba7200814127816ec79f",
+    "seed13": "2ecbafbce06bdc574ef454beb1cf86641eb833a88993b465156ce65c99a5a5fa",
+    "seed14": "faa06d0b46bf3f71c45a1761633efcdbd24f97bb97fd908d027bb3cb76d6dcf6",
     "seed15": "a6f9e03bb546d2ea0a94df67972c39e52c66f83e47f1167fb1f51140ecf37bb8",
-    "seed16": "26d53ec80a407c7d09eaba5929eda14c6fb2a0ab3180ca7cb796d48552b151de",
+    "seed16": "74eb6159701bfb488b6b56c8474c51b3667de2bd56e2d6add03bf186acda32cc",
     "seed17": "2b0a8036a5b3e888dd18dffd7f97a8a71ed7fd43cd363013fe1005389f1c8404",
     "seed18": "1a592adc421c0020d7f050076de4059a805557870c24d45ff7dc2aa5f6d0f55b",
-    "seed19": "0e6448ba3a472ac0528d109086f6caeec00192ba4ea11af94dc22fe871cef9d1",
-    "seed20": "fb588a736a993ca866836d8113743626d4ff306e4746e1fa6a07b575eeed4bc8",
-    "seed21": "72b92f9dea78f219c3d4d25d830ffe2342c15b6421e069cd44c9be83e80be49f",
-    "seed22": "30e42b993827dc96a6e513a48719e328bf2e6ca47820a94cf2077376f764cbb7",
-    "seed23": "9c2cefb540d6ee873f3f22d63563c37118d5da0d2b21546213dda8e603733070",
-    "seed24": "7861a1c29565e31a680273a8da00e2f57022d51ccc2440d10ece9f172c53c40a",
+    "seed19": "aea76ea8d53ceb7bcbd4f288363a88ac44b3d0a40ab36692f343e6aa2c46e077",
+    "seed20": "6e3c5ec2b6541803d970bbfd4add015c0445b7ca7dbf28b49afedf80fac118c7",
+    "seed21": "f6fc592c44dfaeccf810b63e9b3736a96d4334110a9940c1b2005f5edaad7b9f",
+    "seed22": "4a87b61ad789bc097e7ffddb4bc7075cac8b107f47b037a9bb7252208863ec2d",
+    "seed23": "8fa330c844145d22de09ad6b0b72596eb0eed2791e7805e714df77850a9c30a0",
+    "seed24": "f6bee6af19d598b1c39f41e9a3676fecb80ec04aa35b58794b5c13414238286f",
     "seed25": "e2a296cbe7a90c42f2688e8764b20b52a4c8a7c9e45236b9ac39bae8d501c3fa",
-    "seed26": "177c98bd817b05955ea84ca5ecaff326ed5ea34a0d53ad751cc198d13aaa3db0",
-    "seed27": "9c0c4478da3e93767ffbbc1c71218d851dd88a538a80647f1dbf9073bc98e303",
+    "seed26": "a2dd22355300482373339f3f3cf6981b4be9dd001a4aca152058469569cb0dc6",
+    "seed27": "d1219a12377d7bf30c5513d831071ddcfded251fb672d2db8c186a50a8dd3c12",
     "seed28": "365473128116bbf5742a5b24fe1b05e8372b862babc4beb679501379f5b4dc6c",
-    "seed29": "64722d64d9306b0ae222d9482d826b3fc465d96fd2db293ef137cdf95981fe9e",
+    "seed29": "16c9ef3b704b89fc513b7abf5cc7da54d1b1b75d605ad5708a131f5270dfc9b8",
     "p0-s0": "8bdcf209e704486d5bf6c8dec2e3b93f7231080fc0ab7efdff700856e2f1d9da",
     "p0-s0-tinf": "e83c5db0584932ea88788159128be99ac51f4c37d2b484a6c50d8ca37663e21f",
     "p0-s1": "eb6bbd6709b59051ef1e1c700cb51436d03c8904c383c3c6015f98490dc40152",

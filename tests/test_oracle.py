@@ -52,6 +52,8 @@ def recursive_s0(inst: Instance) -> Verdict:
             return True
         if i == n or n - i < len(pending):
             return False
+        if any(demand and size >= t for demand, size in states):
+            return False  # a full team still misses a resource
         union_needed = 0
         for demand in pending:
             union_needed |= demand

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 from conftest import instances, norm
 from rescheck import (
     INF,
+    SAT,
     BudgetError,
     Instance,
     Limits,
+    SolveStats,
     TeamSet,
+    Verdict,
     class_partition,
     dp_solve,
     enumerate_configurations,
@@ -594,6 +597,63 @@ class TestPivot:
         assert v.sat
         assert v.stats.nodes == 1500
         assert verify_witness(x, v)
+
+
+class TestPivotFirst:
+    @pytest.mark.parametrize("cap", [1, teams.PIVOT_FIRST_NODES], ids=["cap-1", "default-cap"])
+    @pytest.mark.parametrize("rung", ["dp", "ilp"])
+    @settings(max_examples=150, deadline=None)
+    @given(x=instances(max_n=9, max_p=4, max_d=3), data=st.data())
+    def test_answers_as_the_rungs_own_core(self, rung, cap, x, data):
+        # at cap 1 nearly every attempt falls back; at the default nearly
+        # every attempt answers. Either way the answer is the rung's.
+        y = normalize(x)
+        kept = sorted(data.draw(st.sets(st.sampled_from(range(y.n)))) if y.n else [])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(teams, "PIVOT_FIRST_NODES", cap)
+            counts: dict[str, int] = {}
+            found, _ = teams.s0_core(y, rung, Limits(), pivot_counts=counts)(kept)
+        want, _ = teams.s0_core(y, rung, Limits())(kept)
+        assert (found is None) == (want is None)
+        if found is not None:
+            assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats("x")))
+            assert {u for team in found.teams for u in team} <= set(kept)
+        assert counts["pivot_answered"] + counts["pivot_fallbacks"] == 1
+
+    def test_a_cap_hit_falls_back_to_the_rung(self, monkeypatch):
+        # two one-user teams need two states: at cap 1 the attempt stops
+        # and the dp search answers, with its own teams and states
+        x = norm([[0], [0]], p=1, d=2, t=1)
+        monkeypatch.setattr(teams, "PIVOT_FIRST_NODES", 1)
+        v = solve_s0(x, "dp", pivot_first=True)
+        named = solve_s0(x, "dp")
+        assert (v.witness, v.stats.nodes) == (named.witness, named.stats.nodes)
+        assert v.stats.extras == {"dp_bits": 2, "pivot_answered": 0, "pivot_fallbacks": 1}
+
+    def test_a_finished_attempt_answers_with_its_own_states(self):
+        # the attempt is exact when it finishes: UNSAT here after the
+        # root and its two picks for r0, as no user reaches r1; the
+        # configuration list is never built
+        x = norm([[0], [0]], p=2, d=1, t=2)
+        v = solve_s0(x, "ilp", pivot_first=True)
+        assert not v.sat and v.stats.nodes == 3
+        assert v.stats.extras == {"pivot_answered": 1, "pivot_fallbacks": 0}
+
+    def test_the_cap_is_read_at_call_time(self, monkeypatch):
+        x = norm([[0], [0]], p=1, d=2, t=1)
+        counts: dict[str, int] = {}
+        core = teams.s0_core(x, "dp", Limits(), pivot_counts=counts)
+        monkeypatch.setattr(teams, "PIVOT_FIRST_NODES", 1)
+        assert core([0, 1])[0] is not None
+        assert counts == {"pivot_answered": 0, "pivot_fallbacks": 1}
+
+    @pytest.mark.parametrize("rung", ["dp", "ilp"])
+    def test_named_cores_make_no_attempt(self, rung, monkeypatch):
+        calls = []
+        monkeypatch.setattr(teams, "pivot_search", lambda *a, **k: calls.append(a))
+        x = norm([[0], [1], [0, 1]], p=2, d=2, t=2)
+        v = solve_s0(x, rung)
+        assert v.sat and calls == [] and "pivot_answered" not in v.stats.extras
 
 
 @pytest.mark.parametrize("rung", ["dp", "ilp"])
