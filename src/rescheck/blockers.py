@@ -22,26 +22,25 @@ the kept users alone, core(kept), which returns (teams | None, nodes),
 None exactly on UNSAT. It runs on bare data, with no sub-instance: the
 dp search, the pivot search or the configuration search on the kept
 users' masks, the last over one configuration list per search with the
-kept users' class sizes as capacities. Under "auto" the core is built
-pivot-first on the dp and ilp rungs: each call tries the pivot search
+kept users' class sizes as capacities. On the dp and ilp rungs both
+searches build the core pivot-first: each call tries the pivot search
 capped at teams.PIVOT_FIRST_NODES states and falls back to the rung's
 search on that cap, and --stats extras count both outcomes
-(pivot_answered, pivot_fallbacks). Named strategies, and the sweep,
-which calls STRATEGIES directly, run the rung's search alone.
-fastpath_d1_tinf answers the single-team unbounded-size case by
-counting coverage.
+(pivot_answered, pivot_fallbacks). The dp and ilp routes run the rung's
+search alone, once on every user. fastpath_d1_tinf answers the
+single-team unbounded-size case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
 others; _rung is the budget ladder (dp while d*|P| fits dp_bits, else
-class counting while 2^|P| fits max_classes, else the pivot search) that
-"auto" and the searches' choice of inner core both read. On the pivot
-rung, auto runs branch_solve at every s, whose search size does not
-depend on |P|; at s=0 that search makes one inner call. At s > 0 on
-the other two rungs auto picks the search per instance (_auto): it
-counts the deletion vectors reduced_solve would visit, from the
-_touchable table, and weighs them against branch_solve's node bound
-and core calls.
+class counting while 2^|P| fits max_classes, else the pivot search)
+that picks the searches' inner core. auto (_auto) names one of
+STRATEGIES, which solve() runs as it runs a named one: branch_solve at
+s=0, where that search is one node, the supply screen and then one
+core call, and past max_classes at every s. At s > 0 within
+max_classes it counts the deletion vectors reduced_solve would visit,
+from the _touchable table, and weighs them against branch_solve's node
+bound and core calls.
 """
 
 from __future__ import annotations
@@ -191,7 +190,6 @@ def _search(
     expand: Callable,
     root: object,
     explored: set[int] | None = None,
-    pivot_first: bool = False,
 ) -> Verdict:
     """The depth-first removal search under branch_solve and reduced_solve.
 
@@ -219,13 +217,12 @@ def _search(
     answers SAT only where the core would, so node counts and blockers
     are as without it.
 
-    With pivot_first the core is built pivot-first (teams.s0_core) and
-    counts its attempts into the stats extras.
+    The core is built pivot-first (teams.s0_core) and counts its
+    attempts into the stats extras.
     """
     rung = _rung(inst, limits)
     stats = SolveStats(algorithm=f"{route}+{rung}")
-    counts = stats.extras if pivot_first else None
-    core = teams.s0_core(inst, rung, limits, pivot_counts=counts)
+    core = teams.s0_core(inst, rung, limits, pivot_counts=stats.extras)
     store: list[tuple[int, TeamSet]] = []
     stack = [(0, True, root)]
     while stack:
@@ -250,9 +247,7 @@ def _search(
     return Verdict(SAT, witness, stats)
 
 
-def branch_solve(
-    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
-) -> Verdict:
+def branch_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Branching search for a blocker of size at most s, on _search.
 
     The child rule: a node with budget left has one child per member of
@@ -280,14 +275,10 @@ def branch_solve(
                 members ^= low
         return children
 
-    return _search(
-        inst, limits, "branch", branches, inst.s, explored=set(), pivot_first=pivot_first
-    )
+    return _search(inst, limits, "branch", branches, inst.s, explored=set())
 
 
-def reduced_solve(
-    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
-) -> Verdict:
+def reduced_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Blocker search over per-class deletion counts, on _search.
 
     Keeping min(|class|, d) lowest-index users per occupied class, its
@@ -321,7 +312,7 @@ def reduced_solve(
                 children.append((removed_mask | drop, False, (idx + 1, cost + k + spare)))
         return children
 
-    verdict = _search(inst, limits, "reduced", deletions, (0, 0), pivot_first=pivot_first)
+    verdict = _search(inst, limits, "reduced", deletions, (0, 0))
     verdict.stats.extras["reduced_users"] = sum(
         min(len(users), inst.d) for users in inst.classes.values()
     )
@@ -379,17 +370,6 @@ STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
 }
 
 
-# The strategies "auto" dispatches: the named ones, with every core
-# route's s=0 core built pivot-first (teams.s0_core).
-_AUTO_STRATEGIES: dict[str, Callable[[Instance, Limits], Verdict]] = {
-    **STRATEGIES,
-    "dp": lambda inst, limits: teams.dp_solve(inst, limits=limits, pivot_first=True),
-    "ilp": lambda inst, limits: teams.ilp_solve(inst, limits=limits, pivot_first=True),
-    "branch": lambda inst, limits: branch_solve(inst, limits=limits, pivot_first=True),
-    "reduced": lambda inst, limits: reduced_solve(inst, limits=limits, pivot_first=True),
-}
-
-
 # _auto prices one core call at min(B, _CORE_NODES) screened nodes, B
 # being branch's node bound: B grows with s, while a core call's cost
 # does not. At s <= 2 with d*t <= 9, B is at most 91, so the cap leaves
@@ -423,8 +403,8 @@ def _auto(inst: Instance, limits: Limits) -> str:
     """The strategy "auto" runs on inst, a name solve() dispatches as
     it does a named one.
 
-    The fast path where it applies; else on the pivot rung branch, and
-    at s=0 the rung's own solver. At s > 0 on the dp and ilp rungs,
+    The fast path where it applies; else branch at s=0, where its one
+    node is the supply screen and at most one core call. At s > 0,
     reduced visits the _vector_count vectors V and calls the core about
     once, while branch visits at most B = sum over i <= s of (d*t)^i
     nodes and calls the core at up to I = sum over i < s of (d*t)^i of
@@ -433,17 +413,12 @@ def _auto(inst: Instance, limits: Limits) -> str:
     V <= B + (I - 1) * min(B, _CORE_NODES), which is V <= B*I while
     B <= _CORE_NODES (at s = 1, I = 1: the search with fewer nodes).
     branch is taken otherwise, or when 2^|P| is past max_classes, where
-    reduced refuses the instance. The count reads inst.classes, the
-    table the search then reuses.
+    reduced refuses the instance; that includes the pivot rung. The
+    count reads inst.classes, the table the search then reuses.
     """
     if outside_domain(inst, "fastpath") is None:
         return "fastpath"
-    rung = _rung(inst, limits)
-    if rung == "pivot":
-        return "branch"
-    if inst.s == 0:
-        return rung
-    if (1 << inst.num_resources) > limits.max_classes:
+    if inst.s == 0 or (1 << inst.num_resources) > limits.max_classes:
         return "branch"
     r = inst.d * inst.t
     s = min(inst.s, max(inst.n, 1))  # no branch path removes more than n users
@@ -456,24 +431,22 @@ def _auto(inst: Instance, limits: Limits) -> str:
 def solve(
     inst: Instance, strategy: str = "auto", *, limits: Limits = DEFAULT_LIMITS
 ) -> Verdict:
-    """Dispatch to a solver; "auto" picks by parameter shape.
+    """Dispatch to a solver in STRATEGIES; "auto" picks one by
+    parameter shape (see _auto) and runs it as the named one.
 
-    auto prefers the coverage fast path (d=1, unbounded t), then walks
-    the budget ladder: with s=0 its rungs are dp and ilp, with s>0 they
-    are the inner solvers of the branching search or the class-reduced
-    search, picked per instance by their counted and bounded search
-    sizes (see _auto); past them it takes the branching search over the
-    pivot search at every s. Every core it runs on the dp and ilp rungs
-    tries a capped pivot search first (teams.s0_core). The verdict's
-    stats name the route taken. A named strategy outside the instance's
-    domain (see outside_domain) raises PreconditionError.
+    auto prefers the coverage fast path (d=1, unbounded t); else it runs
+    the branching search at s=0 and past max_classes, and at s > 0
+    within max_classes the branching or the class-reduced search,
+    picked per instance by their counted and bounded search sizes. The
+    searches' core is the budget ladder rung's, pivot-first. The
+    verdict's stats name the route taken. A named strategy outside the
+    instance's domain (see outside_domain) raises PreconditionError.
     """
     require_normalized(inst)
-    runners = STRATEGIES
     if strategy == "auto":
-        strategy, runners = _auto(inst, limits), _AUTO_STRATEGIES
+        strategy = _auto(inst, limits)
     try:
-        runner = runners[strategy]
+        runner = STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown strategy {strategy!r}") from None
     reason = outside_domain(inst, strategy)

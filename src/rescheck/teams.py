@@ -16,17 +16,17 @@ Each search answers on bare access masks with (teams | None, nodes):
 its teams as sets of positions among the masks, None exactly on UNSAT.
 s0_core wraps the budget ladder rung's search as one s=0 core, a
 function of a set of users alone: core(kept) returns the same pair, its
-teams remapped to the caller's numbering. The blocker searches call it
-at every node, and solve_s0, behind the dp and ilp routes, calls it
-once on every user.
+teams remapped to the caller's numbering.
 
-Built pivot-first, as "auto" builds it, a dp or ilp core tries each
-call with pivot_search capped at PIVOT_FIRST_NODES states first, and
-only on that cap falls back to the rung's own search: a finished pivot
-search is exact, and a cap hit never reads as UNSAT. Its --stats extras
-count the calls the attempt answered (pivot_answered) and the ones that
-fell back (pivot_fallbacks). The named routes build the rung's search
-alone.
+The blocker searches call it at every node, built pivot-first: a dp or
+ilp core tries each call with pivot_search capped at PIVOT_FIRST_NODES
+states first, and only on that cap falls back to the rung's own search.
+A finished pivot search is exact, and a cap hit never reads as UNSAT.
+Their --stats extras count the calls the attempt answered
+(pivot_answered) and the ones that fell back (pivot_fallbacks).
+solve_s0, behind the dp and ilp routes, runs the rung's search alone,
+once on every user: those routes are the pure s=0 references for
+dp_search and ilp_feasible.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
 which is exactly the definition of the s=0 query failing.
@@ -370,9 +370,10 @@ def reconstruct_teams(
 PIVOT_MAX_NODES = 500_000
 
 # States the pivot attempt of a pivot-first core (s0_core) may enter
-# before its call falls back to the rung's own search. All 637 attempts
-# on perfbench's seed-1 and seed-101 solve-resilience corpora finished
-# within it; an attempt that reaches it costs about 2 ms.
+# before its call falls back to the rung's own search. All attempts on
+# perfbench's seed-1 and seed-101 solve-resilience corpora finished
+# within it (637 under auto, 1,288 under branch, 326 under reduced); an
+# attempt that reaches it costs about 2 ms.
 PIVOT_FIRST_NODES = 1_000
 
 
@@ -466,13 +467,14 @@ def s0_core(
     from the lowest positions of its classes; its one configuration
     list, made on the first call that runs it, serves every later one.
 
-    pivot_counts, when given, builds the core pivot-first: on the dp and
-    ilp rungs with p >= 1, every call first runs pivot_search capped at
-    PIVOT_FIRST_NODES states. An attempt that finishes is exact and
-    answers the call; one that hits the cap says nothing, and the rung's
-    own search answers instead. The nodes are those of the search that
-    answered, and pivot_counts gets how many calls the attempt answered
-    (pivot_answered) and how many fell back (pivot_fallbacks).
+    pivot_counts, when given, builds the core pivot-first, as the
+    blocker searches do: on the dp and ilp rungs with p >= 1, every call
+    first runs pivot_search capped at PIVOT_FIRST_NODES states. An
+    attempt that finishes is exact and answers the call; one that hits
+    the cap says nothing, and the rung's own search answers instead.
+    The nodes are those of the search that answered, and pivot_counts
+    gets how many calls the attempt answered (pivot_answered) and how
+    many fell back (pivot_fallbacks).
 
     A dp rung past dp_bits raises BudgetError. extras, when given, get
     the rung's size: dp_bits, or the number of configurations.
@@ -504,7 +506,7 @@ def s0_core(
 
     search = {"dp": dp_search, "ilp": count_classes, "pivot": pivot_search}[rung]
     if pivot_counts is not None and p and rung != "pivot":
-        search = _pivot_first(search, pivot_counts)
+        search = _pivot_attempt(search, pivot_counts)
 
     def core(kept: list[int]) -> tuple[TeamSet | None, int]:
         found, nodes = search([access[u] for u in kept], p, d, t)
@@ -515,7 +517,7 @@ def s0_core(
     return core
 
 
-def _pivot_first(fallback: Callable, counts: dict[str, int]) -> Callable:
+def _pivot_attempt(fallback: Callable, counts: dict[str, int]) -> Callable:
     # fallback's search behind a pivot attempt capped at
     # PIVOT_FIRST_NODES states; a cap hit falls back, never reads UNSAT.
     counts["pivot_answered"] = 0
@@ -533,40 +535,33 @@ def _pivot_first(fallback: Callable, counts: dict[str, int]) -> Callable:
     return search
 
 
-def solve_s0(
-    inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS, *, pivot_first: bool = False
-) -> Verdict:
-    """The s=0 verdict of a rung's core run once on every user, those
-    who reach nothing included; with pivot_first, the core is built
-    pivot-first (s0_core) and counts into the stats extras.
+def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
+    """The s=0 verdict of a rung's own search run once on every user,
+    those who reach nothing included, with no pivot attempt.
 
     With no target resource, d empty teams answer SAT before any budget
     is read. The verdict's stats carry the core's node count and, under
-    extras, its rung's size and any pivot attempt's counts.
+    extras, its rung's size.
     """
     require_normalized(inst)
     stats = SolveStats(algorithm=rung)
     if inst.num_resources == 0:
         # Empty target: d empty teams cover it vacuously.
         return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
-    core = s0_core(inst, rung, limits, stats.extras, stats.extras if pivot_first else None)
+    core = s0_core(inst, rung, limits, stats.extras)
     found, stats.nodes = core(list(range(inst.n)))
     if found is None:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     return Verdict(SAT, found, stats)
 
 
-def dp_solve(
-    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
-) -> Verdict:
+def dp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Team existence via DP over user prefixes and residual demands;
     the demand bit budget d*|P| is checked up front."""
-    return solve_s0(inst, "dp", limits, pivot_first=pivot_first)
+    return solve_s0(inst, "dp", limits)
 
 
-def ilp_solve(
-    inst: Instance, *, limits: Limits = DEFAULT_LIMITS, pivot_first: bool = False
-) -> Verdict:
+def ilp_solve(inst: Instance, *, limits: Limits = DEFAULT_LIMITS) -> Verdict:
     """Configuration-counting solver, fixed-parameter in |P|.
 
     Whether d disjoint teams exist depends only on how many users each
@@ -574,4 +569,4 @@ def ilp_solve(
     the possible team shapes, then search for per-shape multiplicities
     that sum to d without overdrawing any class.
     """
-    return solve_s0(inst, "ilp", limits, pivot_first=pivot_first)
+    return solve_s0(inst, "ilp", limits)

@@ -112,7 +112,9 @@ class TestBranch:
     def test_starved_survivors_make_no_inner_call(self, rung, monkeypatch):
         # removing user 0 leaves one user who reaches r0 for d = 2 teams;
         # only the root, which needs teams to branch on, asks the rung's
-        # core, and no Verdict solver runs
+        # core, and no Verdict solver runs. At a cap of one state the
+        # core's pivot attempt falls back to the rung's own search.
+        monkeypatch.setattr(rescheck.teams, "PIVOT_FIRST_NODES", 1)
         calls = counting(
             monkeypatch,
             "dp_solve",
@@ -127,8 +129,8 @@ class TestBranch:
         assert v.witness == BlockerSet(frozenset({0}))
         assert v.stats.nodes == 2
         assert calls == {
-            "dp": ["dp_search"],
-            "ilp": ["ilp_feasible"],
+            "dp": ["pivot_search", "dp_search"],
+            "ilp": ["pivot_search", "ilp_feasible"],
             "pivot": ["pivot_search"],
         }[rung]
 
@@ -136,14 +138,17 @@ class TestBranch:
     def test_swapped_member_answers_the_leaves(self, rung, monkeypatch):
         # the root's teams are {0, 1} and {2}; every removal drops its
         # class below d = 2 survivors, but user 3 reaches what each team
-        # loses and refills it: only the root asks the rung's core
+        # loses and refills it: only the root asks the rung's core, whose
+        # pivot attempt falls back at a cap of one state
+        monkeypatch.setattr(rescheck.teams, "PIVOT_FIRST_NODES", 1)
         calls = counting(monkeypatch, "dp_search", "pivot_search")
         x = norm([[0], [1], [0, 1], [0, 1]], p=2, s=1, d=2, t=2)
         v = branch_solve(x, limits=RUNGS[rung])
         assert v.stats.algorithm == f"branch+{rung}"
         assert v.sat
         assert v.stats.nodes == 4
-        assert calls == [f"{rung}_search"]
+        want = {"dp": ["pivot_search", "dp_search"], "pivot": ["pivot_search"]}
+        assert calls == want[rung]
 
     @pytest.mark.parametrize("rung", RUNGS)
     @pytest.mark.parametrize(
@@ -232,26 +237,28 @@ class TestReduced:
             assert verify_witness(x, v)
 
     def test_s0_makes_one_inner_call(self, monkeypatch):
-        # the one call gives the witness teams
-        calls = counting(monkeypatch, "dp_search")
+        # the one call, answered by the core's pivot attempt, gives the
+        # witness teams
+        calls = counting(monkeypatch, "dp_search", "pivot_search")
         x = norm([[0], [1]], p=2, s=0, d=1, t=2)
         v = reduced_solve(x)
         assert v.sat and verify_witness(x, v)
-        assert calls == ["dp_search"]
+        assert calls == ["pivot_search"]
         assert v.stats.nodes == 1
+        assert v.stats.extras["pivot_answered"] == 1
 
     def test_s_positive_makes_no_dp_solve_call(self, monkeypatch):
-        # at s > 0 no node needs teams: the dp search answers the root on
-        # bare masks, no sub-instance is built, and the root's teams
-        # {0, 2} and {1, 3}, with a swap where a deletion meets them,
-        # answer the three other nodes
-        calls = counting(monkeypatch, "dp_solve", "dp_search")
+        # at s > 0 no node needs teams: the dp rung's core answers the
+        # root on bare masks, its pivot attempt first, no sub-instance is
+        # built, and the root's teams, with a swap where a deletion meets
+        # them, answer the three other nodes
+        calls = counting(monkeypatch, "dp_solve", "dp_search", "pivot_search")
         x = norm([[0], [0], [1], [1], [0, 1]], p=2, s=1, d=2, t=2)
         v = reduced_solve(x)
         assert v.stats.algorithm == "reduced+dp"
         assert v.sat and v.witness is None and solve_rcp_bruteforce(x).sat
         assert v.stats.nodes == 4
-        assert calls == ["dp_search"]
+        assert calls == ["pivot_search"]
 
     @pytest.mark.parametrize(
         "rows, p, s, d, t, blocker",
@@ -277,12 +284,16 @@ class TestReduced:
         assert verify_witness(x, v)
 
     def test_ilp_rung_enumerates_configurations_once(self, monkeypatch):
+        # at a cap of one state every pivot attempt falls back: three
+        # configuration searches read one list
+        monkeypatch.setattr(rescheck.teams, "PIVOT_FIRST_NODES", 1)
         calls = counting(monkeypatch, "enumerate_configurations", "ilp_solve")
         x = norm([[0], [0], [1], [1], [0, 1], [0, 1]], p=2, s=2, d=2, t=2)
         v = reduced_solve(x, limits=RUNGS["ilp"])
         assert v.stats.algorithm == "reduced+ilp"
         assert v.sat and solve_rcp_bruteforce(x).sat
         assert v.stats.nodes == 10
+        assert v.stats.extras["pivot_fallbacks"] == 3
         assert calls == ["enumerate_configurations"]
 
     def test_class_budget(self):
@@ -366,13 +377,14 @@ class TestRouting:
         assert solve(x).stats.algorithm == "fastpath"
 
     def test_auto_uses_dp_for_s0(self):
+        # at s=0 auto runs branch, one node, over the dp rung's core
         x = norm([[0], [1]], p=2, s=0, d=2, t=1)
-        assert solve(x).stats.algorithm == "dp"
+        assert solve(x).stats.algorithm == "branch+dp"
 
     def test_auto_falls_back_to_ilp_when_bits_run_out(self):
         x = norm([[0], [1]], p=2, s=0, d=2, t=1)
         v = solve(x, limits=Limits(dp_bits=1))
-        assert v.stats.algorithm == "ilp"
+        assert v.stats.algorithm == "branch+ilp"
 
     @pytest.mark.parametrize("rung", ["dp", "ilp"])
     @pytest.mark.parametrize(
@@ -534,21 +546,55 @@ def test_auto_at_p0_skips_the_pivot_attempt():
     assert "pivot_answered" not in v.stats.extras
 
 
+# rescheck generate random --users 30 --resources 6 --density 0.3 --s 0
+# --d 3 --t 3 --seed 34: the pivot attempt hits its 1,000-state cap
+FALLBACK = normalize(random_instance(34, 30, 6, 0.3, s=0, d=3, t=3).instance)
+
+
 @pytest.mark.parametrize("name", ["branch", "reduced"])
-def test_auto_counts_the_pivot_attempts_the_named_search_does_not(name, monkeypatch):
-    # the same search, auto's with its core built pivot-first: equal
-    # answers; every core call is counted once under auto, and the
-    # named search never calls pivot_search
-    x = normalize(random_instance(1, 14, 4, 0.5, s=1, d=2, t=3).instance)
+@pytest.mark.parametrize(
+    "x",
+    [normalize(random_instance(1, 14, 4, 0.5, s=1, d=2, t=3).instance), FALLBACK],
+    ids=["answered", "fallback"],
+)
+def test_named_search_counts_its_pivot_attempts(name, x, monkeypatch):
+    # every core call is one pivot attempt, and every fallback one run
+    # of the dp rung's own search
     calls = counting(monkeypatch, "pivot_search", "dp_search")
-    named = solve(x, name)
-    assert "pivot_search" not in calls and "pivot_answered" not in named.stats.extras
-    calls.clear()
-    v = rescheck.blockers._AUTO_STRATEGIES[name](x, DEFAULT_LIMITS)
-    assert v.answer == named.answer and v.stats.algorithm == named.stats.algorithm
+    v = solve(x, name)
     extras = v.stats.extras
+    assert v.stats.algorithm == f"{name}+dp"
     assert extras["pivot_answered"] + extras["pivot_fallbacks"] == calls.count("pivot_search")
     assert extras["pivot_fallbacks"] == calls.count("dp_search")
+    assert extras["pivot_fallbacks"] == (1 if x is FALLBACK else 0)
+
+
+@pytest.mark.parametrize("rung", ["dp", "ilp"])
+def test_a_capped_attempt_falls_back_on_both_rungs(rung):
+    # the root's one core call falls back under both searches and auto,
+    # and answers SAT with the teams of the rung's own route
+    limits = RUNGS[rung]
+    own = solve(FALLBACK, rung, limits=limits).witness
+    for name, route in [("branch", "branch"), ("reduced", "reduced"), ("auto", "branch")]:
+        v = solve(FALLBACK, name, limits=limits)
+        assert v.sat and verify_witness(FALLBACK, v)
+        assert v.witness == own
+        assert v.stats.algorithm == f"{route}+{rung}"
+        extras = v.stats.extras
+        assert (extras["pivot_answered"], extras["pivot_fallbacks"]) == (0, 1)
+
+
+@pytest.mark.parametrize("rung", RUNGS)
+@settings(max_examples=100, deadline=None)
+@given(x=instances(max_n=7, max_p=3, max_d=3))
+def test_auto_is_exactly_a_named_route(rung, x):
+    # auto runs the strategy _auto names, as solve runs it by name: the
+    # same answer, witness and stats
+    y = normalize(x)
+    limits = RUNGS[rung]
+    v = solve(y, limits=limits)
+    named = solve(y, _auto(y, limits), limits=limits)
+    assert (v.answer, v.witness, v.stats) == (named.answer, named.witness, named.stats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -744,16 +790,22 @@ def _nothing_stored(*args, **kwargs):
 def test_swap_screen_keeps_every_verdict(x):
     # both searches answer as they do with the stored-teams screen
     # finding nothing, on every rung they reach, down to the witness,
-    # node count and extras, and as the oracle does
+    # route, node count and extras, and as the oracle does; the pivot
+    # attempts are left out, as the screen saves core calls
     y = normalize(x)
     want = solve_rcp_bruteforce(y).sat
+
+    def shown(v):
+        extras = {k: n for k, n in v.stats.extras.items() if not k.startswith("pivot_")}
+        return v.answer, v.witness, v.stats.algorithm, v.stats.nodes, extras
+
     for search, rung in SEARCHES:
         v = search(y, limits=RUNGS[rung])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rescheck.blockers, "_stored_covers", _nothing_stored)
             plain = search(y, limits=RUNGS[rung])
         assert v.stats.algorithm.endswith(f"+{rung}")
-        assert (v.answer, v.witness, v.stats) == (plain.answer, plain.witness, plain.stats)
+        assert shown(v) == shown(plain)
         assert v.sat == want
 
 

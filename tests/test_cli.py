@@ -112,27 +112,29 @@ class TestSolve:
         assert "solver bug" in captured.err
 
     def test_many_classes_exit_on_the_budget_not_a_crash(self, tmp_path, capsys):
-        # 1208 occupied classes: the configuration budget stops
-        # reduced+ilp with exit 3 at the root's core call
+        # 1208 occupied classes: at s = 0 the configuration budget stops
+        # the ilp route, which builds the configuration list first, with
+        # exit 3
         path = str(tmp_path / "x.json")
-        assert main([
-            "generate", "random", "--users", "3000", "--resources", "11",
-            "--density", "0.35", "--s", "1", "--d", "3", "--t", "3",
-            "--seed", "1", "--out", path,
-        ]) == EXIT_SAT
-        capsys.readouterr()
-        assert main(["solve", path, "--algorithm", "reduced"]) == EXIT_BUDGET
-        assert "error: configuration budget" in capsys.readouterr().err
-        # branch+ilp's core has the same budget
-        assert main(["solve", path, "--algorithm", "branch"]) == EXIT_BUDGET
-        assert "error: configuration budget" in capsys.readouterr().err
-        # auto takes branch+ilp too, but its one core call is answered by
-        # the pivot attempt, so the configuration list is never built;
-        # branch over the pivot core alone agrees
-        assert main(["solve", path, "--stats"]) == EXIT_SAT
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["algorithm"] == "branch+ilp"
-        assert doc["stats"]["extras"] == {"pivot_answered": 1, "pivot_fallbacks": 0}
+        for s in ("0", "1"):
+            assert main([
+                "generate", "random", "--users", "3000", "--resources", "11",
+                "--density", "0.35", "--s", s, "--d", "3", "--t", "3",
+                "--seed", "1", "--out", path,
+            ]) == EXIT_SAT
+            capsys.readouterr()
+            if s == "0":
+                assert main(["solve", path, "--algorithm", "ilp"]) == EXIT_BUDGET
+                assert "error: configuration budget" in capsys.readouterr().err
+        # at s = 1 both searches take the ilp rung, but the pivot attempt
+        # answers their one core call, so the list is never built; auto
+        # takes branch+ilp, and branch over the pivot core alone agrees
+        for name in ("reduced", "branch", "auto"):
+            assert main(["solve", path, "--stats", "--algorithm", name]) == EXIT_SAT
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["algorithm"] == ("reduced+ilp" if name == "reduced" else "branch+ilp")
+            extras = doc["stats"]["extras"]
+            assert (extras["pivot_answered"], extras["pivot_fallbacks"]) == (1, 0)
         pivot = ["--algorithm", "branch", "--dp-bits", "0", "--max-classes", "1"]
         assert main(["solve", path, *pivot]) == EXIT_SAT
 
@@ -151,11 +153,12 @@ class TestSolve:
         assert (doc["answer"], doc["algorithm"]) == ("SAT", "ilp")
         assert doc["stats"]["nodes"] == 138_812
         assert doc["stats"]["extras"]["configurations"] == 22_820
-        # auto runs the same rung, with its pivot attempt answering first
+        # auto runs branch over the same rung's core, with its pivot
+        # attempt answering first
         assert main(["solve", path, "--stats", "--witness"]) == EXIT_SAT
         out = capsys.readouterr().out
         doc = json.loads(out)
-        assert (doc["answer"], doc["algorithm"]) == ("SAT", "ilp")
+        assert (doc["answer"], doc["algorithm"]) == ("SAT", "branch+ilp")
         verdict = tmp_path / "v.json"
         verdict.write_text(out, encoding="utf-8")
         assert main(["verify", path, "--verdict", str(verdict)]) == EXIT_SAT

@@ -62,37 +62,37 @@ def _transcript(case: str, capsys) -> str:
 
 
 GOLDEN = {
-    "seed0": "146f1a369353adcebe7cd6f79e2d3d56a5d2c26dd1bb0504de646abbe82249bf",
-    "seed1": "c2ef0fc6199582e7969df23b230bddb0b2c311738143a0d44a0c34113555a951",
-    "seed2": "d5f10e527e2849871a88fd3f5024260a8834d7ed511bcb130ad877171c7ac939",
-    "seed3": "b1de22004e01dc00cc90c60b38857b95868d43ba81fc1a6bd59fcfd66ee0fb6c",
-    "seed4": "ec3f3aa404cd4c949280b2586a4587e703722d961665fb1cc67620ddce03c522",
-    "seed5": "be2db3305bc16643c86be3e2b317f3b16fbd1e8a969427b0eb80051413d2a7d0",
-    "seed6": "3d34361e7a1799e622d93025ddf346b90551c8453b3e31fcbf8a1d30c2ce832b",
-    "seed7": "efd2abe073d5a9233cb13672fdc8ee44d0848015f3a02b41be7ae450ce2ce137",
-    "seed8": "a2f799a5ca2760db191e12d65e6b0d88f89c29b1d95404bd9b91db4d35f07579",
-    "seed9": "3f362ff8f7611f1aed9116465720fb0065407e9a22bb2939fbae5034488429b2",
-    "seed10": "25a3ec7b7ea9d952db967c03b8201b9e1cb38a08b9d99859da466ab814580e5c",
-    "seed11": "7fdd6ec61feb74b93b133ffb625cac16d8585c6db22ecf7e34bfe609e19f4866",
-    "seed12": "655656ae3ef21dd26b903bc522f53f868818ccb74eadba7200814127816ec79f",
-    "seed13": "2ecbafbce06bdc574ef454beb1cf86641eb833a88993b465156ce65c99a5a5fa",
-    "seed14": "faa06d0b46bf3f71c45a1761633efcdbd24f97bb97fd908d027bb3cb76d6dcf6",
-    "seed15": "a6f9e03bb546d2ea0a94df67972c39e52c66f83e47f1167fb1f51140ecf37bb8",
-    "seed16": "74eb6159701bfb488b6b56c8474c51b3667de2bd56e2d6add03bf186acda32cc",
-    "seed17": "2b0a8036a5b3e888dd18dffd7f97a8a71ed7fd43cd363013fe1005389f1c8404",
-    "seed18": "1a592adc421c0020d7f050076de4059a805557870c24d45ff7dc2aa5f6d0f55b",
-    "seed19": "aea76ea8d53ceb7bcbd4f288363a88ac44b3d0a40ab36692f343e6aa2c46e077",
-    "seed20": "6e3c5ec2b6541803d970bbfd4add015c0445b7ca7dbf28b49afedf80fac118c7",
-    "seed21": "f6fc592c44dfaeccf810b63e9b3736a96d4334110a9940c1b2005f5edaad7b9f",
-    "seed22": "4a87b61ad789bc097e7ffddb4bc7075cac8b107f47b037a9bb7252208863ec2d",
-    "seed23": "8fa330c844145d22de09ad6b0b72596eb0eed2791e7805e714df77850a9c30a0",
-    "seed24": "f6bee6af19d598b1c39f41e9a3676fecb80ec04aa35b58794b5c13414238286f",
-    "seed25": "e2a296cbe7a90c42f2688e8764b20b52a4c8a7c9e45236b9ac39bae8d501c3fa",
-    "seed26": "a2dd22355300482373339f3f3cf6981b4be9dd001a4aca152058469569cb0dc6",
-    "seed27": "d1219a12377d7bf30c5513d831071ddcfded251fb672d2db8c186a50a8dd3c12",
-    "seed28": "365473128116bbf5742a5b24fe1b05e8372b862babc4beb679501379f5b4dc6c",
-    "seed29": "16c9ef3b704b89fc513b7abf5cc7da54d1b1b75d605ad5708a131f5270dfc9b8",
-    "p0-s0": "8bdcf209e704486d5bf6c8dec2e3b93f7231080fc0ab7efdff700856e2f1d9da",
+    "seed0": "e9322d0bd5db82c360a44c094f0a81f6c43e3e48af8cc3e66beecd21fc8660c8",
+    "seed1": "893cdb6fbe8db147b1fc57f97793e945c9ee20b61c93fb2082f252779c5a9c44",
+    "seed2": "dfac36814c8ed765e6a7e71f3a31854d6eb8c92f66647ab4013e8bbf2051589a",
+    "seed3": "7f7f178c2fc5d1c43b6353e00267ae372778e162a2fd552a5587cb832dbe0329",
+    "seed4": "0cc375c5884a80ee5fae65ad2867a9c296fab1f98857a59fa6b55f5c3307cd50",
+    "seed5": "4464b1a103ad574cc60f2be86dcce6d4bfa925dd3eeaf20ed4fa3d1ae2bf2cdd",
+    "seed6": "76ebb68cf5b976dc6131c43112b45e706b400fc673cbef98644f33b848d0cff8",
+    "seed7": "8b57a1af8d0f6bf1a3f3719a8d255786ca927c16edf0efecb4fbe0330b1788cf",
+    "seed8": "6ed3d7c30988a0300d1318520d4ee5504b6ff064a480577d3802613d7be7dbc3",
+    "seed9": "b66af410f4852d423959da9b621f556add9bd3cf61d16f5a3bb1c14956ffb148",
+    "seed10": "0119c7a0a58af5db6fb586a125a70be62438abb8af4e50753aba2986224c49ee",
+    "seed11": "0ce84dbb541bbd40bfed2065534024fa375a1fe07176d71cb50e448b3afc6658",
+    "seed12": "d2f1c5754e6a1b4266201b4478d1bda8ec52a1b488940c583890d49cf540ac86",
+    "seed13": "29d74f6c46941b727b5d3b5c4864231ec45bca8455cc6bedf2ec346b306c8220",
+    "seed14": "6b38c7c9a348a19051aa3564c9497b20f252782ff319f2830b5c9b5688c48307",
+    "seed15": "b1d5361ad3c375f3a415e63b785ae737e5f2de149b3189568ce947ac1a051534",
+    "seed16": "061b5caaec393e3923317e5b4f59e88c454b4e0c3df0ec8e68c9a0e5a25c7e94",
+    "seed17": "0736ac2c9ca4787a8b8b57cdf9e4c5116df65d2b3c7b7d602944c6abf0ac13d2",
+    "seed18": "af1894ccac7649d4c8c57c4958f31e4a3d9c65c07092e9c8e0e3c1e5a7d0c210",
+    "seed19": "c8118c9a02253a88751fe0d442534a7496009a003c96d23393c1686ff38e2364",
+    "seed20": "1a25c8e2718acebfa997d066b4b155aedbdbf913ff2a9a588aaa1085e4f6e7c7",
+    "seed21": "955d62037a8f817c58b2aa0b9dbc50c7e2151fc94fc440407221af73d26508c6",
+    "seed22": "e81a4d2d9b853123da405875b3ea50958d4fe8635b4b3496d314943e12c8733a",
+    "seed23": "ed9ff852d34b7e877ecedc484ef0535103112858d767f04629a5c690c08d8001",
+    "seed24": "6ea0ff053562e456b098a8caffeb0cf8fd2292e7e0d7b02c0cb48d5bee170345",
+    "seed25": "6f2d0d3877ae770223a85baf2cc92511d022b67c29aeffab268e8765727ad35f",
+    "seed26": "ab790d264628f66c919c4cc6a627cb7469b658889016e8743c87ca18a879cd1f",
+    "seed27": "fbf51e73b3bc347c4ed08a7c7cf986014bbc724705b12edff0c52c1365452e8c",
+    "seed28": "22f26dffa8eaab4eada99cbef306f5acddddedacdcb5b55a253903874eb727a7",
+    "seed29": "9cfa0d9f0831c7dce11f9af4015e9e8f3f6ac62ec027eabb8e931ea14587ec86",
+    "p0-s0": "4be136212aec71a2b88953c1055538187ee70e3919c973fd3e9b74d1a09ba443",
     "p0-s0-tinf": "e83c5db0584932ea88788159128be99ac51f4c37d2b484a6c50d8ca37663e21f",
     "p0-s1": "eb6bbd6709b59051ef1e1c700cb51436d03c8904c383c3c6015f98490dc40152",
 }

@@ -625,19 +625,24 @@ class TestPivotFirst:
         # and the dp search answers, with its own teams and states
         x = norm([[0], [0]], p=1, d=2, t=1)
         monkeypatch.setattr(teams, "PIVOT_FIRST_NODES", 1)
-        v = solve_s0(x, "dp", pivot_first=True)
-        named = solve_s0(x, "dp")
-        assert (v.witness, v.stats.nodes) == (named.witness, named.stats.nodes)
-        assert v.stats.extras == {"dp_bits": 2, "pivot_answered": 0, "pivot_fallbacks": 1}
+        extras: dict[str, int] = {}
+        counts: dict[str, int] = {}
+        got = teams.s0_core(x, "dp", Limits(), extras, pivot_counts=counts)([0, 1])
+        assert got == teams.s0_core(x, "dp", Limits())([0, 1])
+        assert extras == {"dp_bits": 2}
+        assert counts == {"pivot_answered": 0, "pivot_fallbacks": 1}
 
     def test_a_finished_attempt_answers_with_its_own_states(self):
         # the attempt is exact when it finishes: UNSAT here after the
         # root and its two picks for r0, as no user reaches r1; the
         # configuration list is never built
         x = norm([[0], [0]], p=2, d=1, t=2)
-        v = solve_s0(x, "ilp", pivot_first=True)
-        assert not v.sat and v.stats.nodes == 3
-        assert v.stats.extras == {"pivot_answered": 1, "pivot_fallbacks": 0}
+        extras: dict[str, int] = {}
+        counts: dict[str, int] = {}
+        got = teams.s0_core(x, "ilp", Limits(), extras, pivot_counts=counts)([0, 1])
+        assert got == (None, 3)
+        assert extras == {}
+        assert counts == {"pivot_answered": 1, "pivot_fallbacks": 0}
 
     def test_the_cap_is_read_at_call_time(self, monkeypatch):
         x = norm([[0], [0]], p=1, d=2, t=1)
