@@ -26,9 +26,10 @@ kept users' class sizes as capacities. On the dp and ilp rungs both
 searches build the core pivot-first: each call tries the pivot search
 capped at teams.PIVOT_FIRST_NODES states and falls back to the rung's
 search on that cap, and --stats extras count both outcomes
-(pivot_answered, pivot_fallbacks). The dp and ilp routes run the rung's
-search alone, once on every user. fastpath_d1_tinf answers the
-single-team unbounded-size case by counting coverage.
+(pivot_answered, pivot_fallbacks) and the core calls' nodes
+(core_nodes). The dp and ilp routes run the rung's search alone, once
+on every user. fastpath_d1_tinf answers the single-team unbounded-size
+case by counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -146,7 +147,9 @@ def _stored_covers(
     return False
 
 
-def _solve_survivors(inst: Instance, core: Callable, removed_mask: int) -> TeamSet | None:
+def _solve_survivors(
+    inst: Instance, core: Callable, removed_mask: int
+) -> tuple[TeamSet | None, int]:
     """The zero-removal query on the users left after removed_mask.
 
     One pass over the classes in inst.classes keeps the first
@@ -158,7 +161,8 @@ def _solve_survivors(inst: Instance, core: Callable, removed_mask: int) -> TeamS
     exactly. Otherwise the rung's core runs on the kept users in
     ascending index; no solver picks a user outside that set, so its
     teams are the ones it would find on all survivors. Returns the
-    core's teams in the caller's numbering, None on UNSAT.
+    core's teams in the caller's numbering, None on UNSAT, and its node
+    count, 0 when the supply screen answered.
     """
     d = inst.d
     kept: list[int] = []
@@ -178,9 +182,9 @@ def _solve_survivors(inst: Instance, core: Callable, removed_mask: int) -> TeamS
         for k in range(d - 1, -1, -1):
             reach[k] |= mask if k < count else mask & reach[k - count]
     if reach[-1] != inst.target:
-        return None
+        return None, 0
     kept.sort()
-    return core(kept)[0]
+    return core(kept)
 
 
 def _search(
@@ -218,11 +222,13 @@ def _search(
     are as without it.
 
     The core is built pivot-first (teams.s0_core) and counts its
-    attempts into the stats extras.
+    attempts into the stats extras, and core_nodes there sums the node
+    counts of every core call.
     """
     rung = _rung(inst, limits)
     stats = SolveStats(algorithm=f"{route}+{rung}")
     core = teams.s0_core(inst, rung, limits, pivot_counts=stats.extras)
+    stats.extras["core_nodes"] = 0
     store: list[tuple[int, TeamSet]] = []
     stack = [(0, True, root)]
     while stack:
@@ -234,7 +240,8 @@ def _search(
             explored.add(removed_mask)
         members = 0
         if needs_teams or not _stored_covers(inst, store, removed_mask):
-            found = _solve_survivors(inst, core, removed_mask)
+            found, core_nodes = _solve_survivors(inst, core, removed_mask)
+            stats.extras["core_nodes"] += core_nodes
             if found is None:
                 blocker = frozenset(u for u in range(inst.n) if removed_mask >> u & 1)
                 return Verdict(UNSAT, BlockerSet(blocker), stats)

@@ -700,7 +700,9 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
     # resource keeps d reachers among them; it answers the survivors as
     # the oracle does, and each core answers the same on the kept users
     # as on all survivors: the same answer and, exactly when SAT, the
-    # same teams, drawn from the kept users and in the caller's numbering
+    # same teams, drawn from the kept users and in the caller's numbering;
+    # _solve_survivors returns the core's answer and node count, and
+    # (None, 0) when the supply screen answers
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
     kept = []
@@ -733,7 +735,7 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
 
         got = _solve_survivors(y, recorded, removed_mask)
         assert asked == ([] if starved else [kept])
-        assert got == (None if starved else found)
+        assert got == ((None, 0) if starved else core(kept))
 
 
 @pytest.mark.parametrize("solver", [branch_solve, reduced_solve])
@@ -791,12 +793,17 @@ def test_swap_screen_keeps_every_verdict(x):
     # both searches answer as they do with the stored-teams screen
     # finding nothing, on every rung they reach, down to the witness,
     # route, node count and extras, and as the oracle does; the pivot
-    # attempts are left out, as the screen saves core calls
+    # attempts and the core's nodes are left out, as the screen saves
+    # core calls
     y = normalize(x)
     want = solve_rcp_bruteforce(y).sat
 
     def shown(v):
-        extras = {k: n for k, n in v.stats.extras.items() if not k.startswith("pivot_")}
+        extras = {
+            k: n
+            for k, n in v.stats.extras.items()
+            if not k.startswith("pivot_") and k != "core_nodes"
+        }
         return v.answer, v.witness, v.stats.algorithm, v.stats.nodes, extras
 
     for search, rung in SEARCHES:

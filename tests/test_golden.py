@@ -62,39 +62,39 @@ def _transcript(case: str, capsys) -> str:
 
 
 GOLDEN = {
-    "seed0": "e9322d0bd5db82c360a44c094f0a81f6c43e3e48af8cc3e66beecd21fc8660c8",
-    "seed1": "893cdb6fbe8db147b1fc57f97793e945c9ee20b61c93fb2082f252779c5a9c44",
-    "seed2": "dfac36814c8ed765e6a7e71f3a31854d6eb8c92f66647ab4013e8bbf2051589a",
-    "seed3": "7f7f178c2fc5d1c43b6353e00267ae372778e162a2fd552a5587cb832dbe0329",
-    "seed4": "0cc375c5884a80ee5fae65ad2867a9c296fab1f98857a59fa6b55f5c3307cd50",
-    "seed5": "4464b1a103ad574cc60f2be86dcce6d4bfa925dd3eeaf20ed4fa3d1ae2bf2cdd",
-    "seed6": "76ebb68cf5b976dc6131c43112b45e706b400fc673cbef98644f33b848d0cff8",
-    "seed7": "8b57a1af8d0f6bf1a3f3719a8d255786ca927c16edf0efecb4fbe0330b1788cf",
-    "seed8": "6ed3d7c30988a0300d1318520d4ee5504b6ff064a480577d3802613d7be7dbc3",
-    "seed9": "b66af410f4852d423959da9b621f556add9bd3cf61d16f5a3bb1c14956ffb148",
-    "seed10": "0119c7a0a58af5db6fb586a125a70be62438abb8af4e50753aba2986224c49ee",
-    "seed11": "0ce84dbb541bbd40bfed2065534024fa375a1fe07176d71cb50e448b3afc6658",
-    "seed12": "d2f1c5754e6a1b4266201b4478d1bda8ec52a1b488940c583890d49cf540ac86",
-    "seed13": "29d74f6c46941b727b5d3b5c4864231ec45bca8455cc6bedf2ec346b306c8220",
-    "seed14": "6b38c7c9a348a19051aa3564c9497b20f252782ff319f2830b5c9b5688c48307",
-    "seed15": "b1d5361ad3c375f3a415e63b785ae737e5f2de149b3189568ce947ac1a051534",
-    "seed16": "061b5caaec393e3923317e5b4f59e88c454b4e0c3df0ec8e68c9a0e5a25c7e94",
-    "seed17": "0736ac2c9ca4787a8b8b57cdf9e4c5116df65d2b3c7b7d602944c6abf0ac13d2",
-    "seed18": "af1894ccac7649d4c8c57c4958f31e4a3d9c65c07092e9c8e0e3c1e5a7d0c210",
-    "seed19": "c8118c9a02253a88751fe0d442534a7496009a003c96d23393c1686ff38e2364",
-    "seed20": "1a25c8e2718acebfa997d066b4b155aedbdbf913ff2a9a588aaa1085e4f6e7c7",
-    "seed21": "955d62037a8f817c58b2aa0b9dbc50c7e2151fc94fc440407221af73d26508c6",
-    "seed22": "e81a4d2d9b853123da405875b3ea50958d4fe8635b4b3496d314943e12c8733a",
-    "seed23": "ed9ff852d34b7e877ecedc484ef0535103112858d767f04629a5c690c08d8001",
-    "seed24": "6ea0ff053562e456b098a8caffeb0cf8fd2292e7e0d7b02c0cb48d5bee170345",
-    "seed25": "6f2d0d3877ae770223a85baf2cc92511d022b67c29aeffab268e8765727ad35f",
-    "seed26": "ab790d264628f66c919c4cc6a627cb7469b658889016e8743c87ca18a879cd1f",
-    "seed27": "fbf51e73b3bc347c4ed08a7c7cf986014bbc724705b12edff0c52c1365452e8c",
-    "seed28": "22f26dffa8eaab4eada99cbef306f5acddddedacdcb5b55a253903874eb727a7",
-    "seed29": "9cfa0d9f0831c7dce11f9af4015e9e8f3f6ac62ec027eabb8e931ea14587ec86",
-    "p0-s0": "4be136212aec71a2b88953c1055538187ee70e3919c973fd3e9b74d1a09ba443",
+    "seed0": "509d655c9ca1350016c772b4f99c11c3e5776915dc490fd8229fc0a3b8f4771b",
+    "seed1": "8f420320fa49cfa4d548eac4ea460c90e9981c3c9e8630252187ccdd130bb481",
+    "seed2": "4136572d70e66e77b0cad449dd10f1b639c9613e40f51f0df927ef287b3d2587",
+    "seed3": "c61ecb836ce380b79e17d281fb6207f4072644d788f73b02c304d20850a25014",
+    "seed4": "34c8e874d85916ee0023b1ed09fae4191ad841c9d5ce83d26dee5617ec3a1953",
+    "seed5": "3db7e86588de3118070fa1528657039944d0f76d2f4ec7c5a9892dd36e41f630",
+    "seed6": "98f92ab3c69a2becd47299c93fde17c57b520f01400b11df64627ef425d6e636",
+    "seed7": "36dd6b6825ed6b6a4969d11d05909e8a81fa4bc2a9b29d0f331e1201eee3cdce",
+    "seed8": "ae7ba6a751a2e1f5e33a0b7d8804e8a1e2e5b2f65b81d39a6ce69ee61570984d",
+    "seed9": "564ec44981e2d0d61b0cb4cc8e7c862fd4218264b853abeb8ff68977fd6d16c6",
+    "seed10": "5ffe8e9cbba4255ea53c14e00621228df908fc6c3134019237a90f231d4b6308",
+    "seed11": "f1cd027984389a4606dbb87c627230dac55827e257160f30b7f67aaef89ca22d",
+    "seed12": "4478d129a5ae4a52277e7a4e370627784db59ffbf14a7dc36609492e2cd88737",
+    "seed13": "852b991c834adb774ddcbc9770276bf97e5031580e3d2bc1c49b44c590dde627",
+    "seed14": "d9cf9575f58f24e20410347f7b4e75f7d8e4fba3afb603ca52368a891420d1c6",
+    "seed15": "9a86e500225be1ac4da43f74aa26f875faffea67b33a072977a4743d8e6d15f1",
+    "seed16": "a1eb4c533eaf2ed8c1a767f1f988802ce42cb18cbf0fd59280c57da236a5b6a9",
+    "seed17": "4836aa36fb8bb45443b7ae14a76dcb2a2c98261b4d0e0902e723c582545a2f0b",
+    "seed18": "0dd70c65d9509f8a45482759d9ae779b2ed049e60eda36429f17a75af25cce28",
+    "seed19": "2f935fd9da99bd22d6e5caef54a4c0115ef99852efb96408228c71fe65e0c280",
+    "seed20": "3dfb15d94d1fc5256377d6ec26697b424953c9b87ce88e65079fa4124ceaa3e1",
+    "seed21": "6d4da1637b234e84d3a8d9f6b5d25d07a924e72d1855458e665f94d5648e3edc",
+    "seed22": "f7193ccf1e34ca4ab89bac8f3a545d27b5b246d681ce509472170b7e90e280ec",
+    "seed23": "cac1f3fef3941baf81a4b938f42d8f1db6dabff80a26401f900aa8c1ecf91385",
+    "seed24": "b67a5843c730a4023a3293646314b9c143abbf1b09ab620ec59375986053fc28",
+    "seed25": "e360e5a6c694e97a5666a45702eddeaa345ab812d8c4b56a7ac68d3742618637",
+    "seed26": "518c36d36dff85171993ce3f2410228cc4498dacc19955373352ad04cbb93a81",
+    "seed27": "217e59186e0a6505ae71c6e91673802e072c0bad700157ca20a90ce8e57de6f9",
+    "seed28": "d7a9234f96824b5a1c152fa31c051341f937658849476e22f2d0b3f8c57b286e",
+    "seed29": "99f0f619b3477c1cf77869d4e5a47025156dd368e1e8b88844c8dc093b8c238a",
+    "p0-s0": "332ab248bf579ae5947e09e54dc24949d2d9bcc383e6b396f50db87edff039e1",
     "p0-s0-tinf": "e83c5db0584932ea88788159128be99ac51f4c37d2b484a6c50d8ca37663e21f",
-    "p0-s1": "eb6bbd6709b59051ef1e1c700cb51436d03c8904c383c3c6015f98490dc40152",
+    "p0-s1": "24b28bf76fe853984236091d91ac96aa90ad9ceaa3472ea570a744304de966a3",
 }
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import rescheck.oracle
 import rescheck.policy
 import rescheck.sweep
-from rescheck import SAT, UNSAT, BlockerSet, Limits, Verdict, class_partition
+import rescheck.teams
+from rescheck import SAT, UNSAT, BlockerSet, BudgetError, Limits, Verdict, class_partition
 from rescheck.sweep import SweepConfig, run_sweep
 
 SMALL = SweepConfig(max_n=3, max_p=2, seeds=40)
@@ -49,6 +50,31 @@ def test_small_sweep_oracle_search_count_is_pinned(monkeypatch):
     monkeypatch.setattr(rescheck.policy, "restrict", no_restrict)
     assert run_sweep(SMALL).ok
     assert len(calls) == 1154
+
+
+def test_small_sweep_checks_the_fallback_core(monkeypatch):
+    # The sweep's instances are small, and no pivot attempt of branch's
+    # and reduced's core reaches its cap there, so the rung's own search
+    # on the kept users, which a cap hit falls back to, is checked here:
+    # capped at one state, every attempt that branches falls back to
+    # dp_search, and the oracle still agrees with every run
+    pivot = rescheck.teams.pivot_search
+    fell_back = []
+
+    def counted(masks, p, d, t, limit=None):
+        try:
+            return pivot(masks, p, d, t, limit)
+        except BudgetError:
+            fell_back.append(limit)
+            raise
+
+    monkeypatch.setattr(rescheck.teams, "PIVOT_FIRST_NODES", 1)
+    monkeypatch.setattr(rescheck.teams, "pivot_search", counted)
+    report = run_sweep(SMALL)
+    assert report.ok
+    assert report.solver_runs == 3562
+    assert set(fell_back) == {1}
+    assert len(fell_back) == 759
 
 
 def test_wrong_non_oracle_blocker_is_flagged(monkeypatch):
