@@ -4,32 +4,25 @@ Both searches are one depth-first search over removal sets, _search,
 each with its own child rule: branch_solve branches on the members of
 the team set each node finds, handed over as the bitmask the search
 keeps for its store, reduced_solve enumerates how many representatives
-to delete per class. Every node puts the zero-removal question to an
-inner s=0 core through one step, _solve_survivors, a function of the
-removal set alone. Whether that question is SAT depends only on how
-many survivors each neighborhood class keeps, capped at d, so the core
-sees only the first min(|class|, d) survivors of every occupied class,
-and its teams are in the caller's numbering. Both searches, and auto's
-count, read the classes from one table, Instance.classes.
-The pass that picks those survivors also screens supply: a resource
-with fewer than d surviving reachers is UNSAT with no core call. Nodes
-that need no teams are first screened against the team sets the search
-has already found (_stored_covers).
+to delete per class. Every node puts the zero-removal question to the
+one s=0 entry point, teams.s0_core of the rung the budget ladder picks:
+core(removed_mask), a function of the removal set alone, which returns
+(teams | None, nodes), None exactly on UNSAT, its teams in the caller's
+numbering. The core screens supply, keeps the first min(|class|, d)
+survivors of every occupied class and runs the rung's search on their
+masks; the dp and ilp routes are the same core's answer at the empty
+removal set, core(0), which is this search's root node. Both searches,
+auto's count and the core read the classes from one table,
+Instance.classes. Nodes that need no teams are first screened against
+the team sets the search has already found (_stored_covers).
 
-The core is teams.s0_core of the rung the budget ladder picks, the same
-core that the dp and ilp routes run once on every user: a function of
-the kept users alone, core(kept), which returns (teams | None, nodes),
-None exactly on UNSAT. It runs on bare data, with no sub-instance: the
-dp search, the pivot search or the configuration search on the kept
-users' masks, the last over one configuration list per search with the
-kept users' class sizes as capacities. On the dp and ilp rungs both
-searches build the core pivot-first: each call tries the pivot search
-capped at teams.PIVOT_FIRST_NODES states and falls back to the rung's
-search on that cap, and --stats extras count both outcomes
-(pivot_answered, pivot_fallbacks) and the core calls' nodes
-(core_nodes). The dp and ilp routes run the rung's search alone, once
-on every user. fastpath_d1_tinf answers the single-team unbounded-size
-case by counting coverage.
+On the dp and ilp rungs both searches build the core pivot-first: each
+call tries the pivot search capped at teams.PIVOT_FIRST_NODES states
+and falls back to the rung's search on that cap, and --stats extras
+count both outcomes (pivot_answered, pivot_fallbacks) and the core
+calls' nodes (core_nodes). The dp and ilp routes build it without the
+attempt. fastpath_d1_tinf answers the single-team unbounded-size case by
+counting coverage.
 
 The route is decided here and nowhere else. outside_domain says which
 names in STRATEGIES answer an instance exactly, and solve() refuses the
@@ -147,46 +140,6 @@ def _stored_covers(
     return False
 
 
-def _solve_survivors(
-    inst: Instance, core: Callable, removed_mask: int
-) -> tuple[TeamSet | None, int]:
-    """The zero-removal query on the users left after removed_mask.
-
-    One pass over the classes in inst.classes keeps the first
-    min(|class|, d) survivors of each; the answer depends only on how
-    many each class keeps. Every team reaches every resource, so d
-    teams need d distinct survivors who reach each one: a resource with
-    fewer kept reachers is UNSAT without an inner call. A class keeping
-    fewer than d keeps all its survivors, so the kept users decide this
-    exactly. Otherwise the rung's core runs on the kept users in
-    ascending index; no solver picks a user outside that set, so its
-    teams are the ones it would find on all survivors. Returns the
-    core's teams in the caller's numbering, None on UNSAT, and its node
-    count, 0 when the supply screen answered.
-    """
-    d = inst.d
-    kept: list[int] = []
-    # reach[k] is the set of resources reached by more than k kept users
-    # of the classes seen so far; a class keeping count users lifts its
-    # resources count levels, top level first so each reads the old
-    # level below.
-    reach = [0] * d
-    for mask, users in inst.classes.items():
-        count = 0
-        for u in users:
-            if not removed_mask >> u & 1:
-                kept.append(u)
-                count += 1
-                if count == d:
-                    break
-        for k in range(d - 1, -1, -1):
-            reach[k] |= mask if k < count else mask & reach[k - count]
-    if reach[-1] != inst.target:
-        return None, 0
-    kept.sort()
-    return core(kept)
-
-
 def _search(
     inst: Instance,
     limits: Limits,
@@ -211,15 +164,15 @@ def _search(
     when given, holds the removal sets visited so far; a revisit counts
     as a node and ends there.
 
-    Every node that needs teams asks _solve_survivors, so the witness
-    and the branching orders are the core's. The search stores every
-    team set the core returns, with its members as a bitmask. d disjoint
-    covering teams of at most t users that avoid a removal set prove it
-    no blocker, so _stored_covers answers a node that needs no teams SAT
-    with no core call when a stored set avoids its removals, or meets
-    them in one user whom a swap replaces (_swap_covers). The screen
-    answers SAT only where the core would, so node counts and blockers
-    are as without it.
+    Every node that needs teams asks the core, core(removed_mask), so
+    the witness and the branching orders are the core's. The search
+    stores every team set the core returns, with its members as a
+    bitmask. d disjoint covering teams of at most t users that avoid a
+    removal set prove it no blocker, so _stored_covers answers a node
+    that needs no teams SAT with no core call when a stored set avoids
+    its removals, or meets them in one user whom a swap replaces
+    (_swap_covers). The screen answers SAT only where the core would, so
+    node counts and blockers are as without it.
 
     The core is built pivot-first (teams.s0_core) and counts its
     attempts into the stats extras, and core_nodes there sums the node
@@ -240,7 +193,7 @@ def _search(
             explored.add(removed_mask)
         members = 0
         if needs_teams or not _stored_covers(inst, store, removed_mask):
-            found, core_nodes = _solve_survivors(inst, core, removed_mask)
+            found, core_nodes = core(removed_mask)
             stats.extras["core_nodes"] += core_nodes
             if found is None:
                 blocker = frozenset(u for u in range(inst.n) if removed_mask >> u & 1)

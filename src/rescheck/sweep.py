@@ -65,6 +65,11 @@ class SweepConfig:
     # budgets. perfbench/run.py records it with each sweep workload run.
     limits: ClassVar[Limits] = DEFAULT_LIMITS
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
 
 @dataclass(frozen=True)
 class Disagreement:

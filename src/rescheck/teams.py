@@ -14,9 +14,11 @@ Three exact searches on bare data, with different parameter sweet spots:
 
 Each search answers on bare access masks with (teams | None, nodes):
 its teams as sets of positions among the masks, None exactly on UNSAT.
-s0_core wraps the budget ladder rung's search as one s=0 core, a
-function of a set of users alone: core(kept) returns the same pair, its
-teams remapped to the caller's numbering.
+s0_core wraps the budget ladder rung's search as the one s=0 entry
+point, a function of a removal set alone: core(removed_mask) screens
+supply, keeps the first min(|class|, d) survivors of each class, answers
+p = 0 with d empty teams, and otherwise runs the search on the kept
+users, its teams remapped to the caller's numbering.
 
 The blocker searches call it at every node, built pivot-first: a dp or
 ilp core tries each call with pivot_search capped at PIVOT_FIRST_NODES
@@ -24,8 +26,9 @@ states first, and only on that cap falls back to the rung's own search.
 A finished pivot search is exact, and a cap hit never reads as UNSAT.
 Their --stats extras count the calls the attempt answered
 (pivot_answered) and the ones that fell back (pivot_fallbacks).
-solve_s0, behind the dp and ilp routes, runs the rung's search alone,
-once on every user: those routes are the pure s=0 references for
+solve_s0, behind the dp and ilp routes, answers with the same core at
+the empty removal set, core(0), the blocker searches' root node, with
+no pivot attempt: those routes are the pure s=0 references for
 dp_search and ilp_feasible.
 
 All treat s as 0; an UNSAT verdict carries the empty blocker set,
@@ -456,30 +459,45 @@ def s0_core(
     limits: Limits,
     extras: dict[str, int] | None = None,
     pivot_counts: dict[str, int] | None = None,
-) -> Callable[[list[int]], tuple[TeamSet | None, int]]:
+) -> Callable[[int], tuple[TeamSet | None, int]]:
     """The s=0 core of a budget ladder rung: "dp", "ilp" or "pivot".
 
-    core(kept) answers the s=0 query on the users kept, in ascending
-    index, as (teams | None, nodes): the teams in the caller's numbering
-    (position i of the masks searched is user kept[i]), None exactly on
-    UNSAT, and the search's node count. ilp pools the positions by class
-    mask, takes the pool sizes as the capacities and draws each team
-    from the lowest positions of its classes; its one configuration
-    list, made on the first call that runs it, serves every later one.
+    core(removed_mask) answers the s=0 query on the users left after
+    removed_mask, a bitmask of users, as (teams | None, nodes): the teams
+    in inst's numbering, None exactly on UNSAT, and the search's node
+    count. The answer depends only on how many survivors each
+    neighborhood class keeps, capped at d, so one pass over inst.classes
+    keeps the first min(|class|, d) survivors of each. Every team
+    reaches every resource, so d teams need d distinct survivors who
+    reach each one: a resource with fewer kept reachers is UNSAT with no
+    search and 0 nodes. A class keeping fewer than d keeps all its
+    survivors, so the kept users decide this exactly. Otherwise the rung's search runs on the kept
+    users' masks in ascending index; no search picks a user outside that
+    set, so its teams are the ones it would find on all survivors. ilp
+    pools the positions by class mask, takes the pool sizes as the
+    capacities and draws each team from the lowest positions of its
+    classes; its one configuration list, made on the first call that
+    runs it, serves every later one. With no target resource, d empty
+    teams answer every call, before any budget is read.
 
     pivot_counts, when given, builds the core pivot-first, as the
-    blocker searches do: on the dp and ilp rungs with p >= 1, every call
-    first runs pivot_search capped at PIVOT_FIRST_NODES states. An
-    attempt that finishes is exact and answers the call; one that hits
-    the cap says nothing, and the rung's own search answers instead.
-    The nodes are those of the search that answered, and pivot_counts
-    gets how many calls the attempt answered (pivot_answered) and how
-    many fell back (pivot_fallbacks).
+    blocker searches do: on the dp and ilp rungs, every search first
+    runs pivot_search capped at PIVOT_FIRST_NODES states. An attempt
+    that finishes is exact and answers the call; one that hits the cap
+    says nothing, and the rung's own search answers instead. The nodes
+    are those of the search that answered, and pivot_counts gets how
+    many calls the attempt answered (pivot_answered) and how many fell
+    back (pivot_fallbacks).
 
-    A dp rung past dp_bits raises BudgetError. extras, when given, get
-    the rung's size: dp_bits, or the number of configurations.
+    A dp rung past dp_bits, or an ilp rung past max_classes, raises
+    BudgetError. extras, when given, get the rung's size: dp_bits, or
+    the number of configurations.
     """
     access, p, d, t = inst.access, inst.num_resources, inst.d, int(inst.t)
+    if not p:
+        # Empty target: d empty teams cover it vacuously.
+        empty = TeamSet(tuple(frozenset() for _ in range(d)))
+        return lambda removed_mask: (empty, 0)
     if rung == "dp":
         if d * p > limits.dp_bits:
             raise BudgetError(
@@ -488,6 +506,8 @@ def s0_core(
             )
         if extras is not None:
             extras["dp_bits"] = d * p
+    elif rung == "ilp":
+        require_class_budget(inst, limits, "configuration")
     configs: list[tuple[int, ...]] | None = None
 
     def count_classes(masks: list[int], p: int, d: int, t: int):
@@ -505,10 +525,30 @@ def s0_core(
         return (None if vector is None else reconstruct_teams(pools, vector).teams), nodes
 
     search = {"dp": dp_search, "ilp": count_classes, "pivot": pivot_search}[rung]
-    if pivot_counts is not None and p and rung != "pivot":
+    if pivot_counts is not None and rung != "pivot":
         search = _pivot_attempt(search, pivot_counts)
+    classes, target = inst.classes, inst.target
 
-    def core(kept: list[int]) -> tuple[TeamSet | None, int]:
+    def core(removed_mask: int) -> tuple[TeamSet | None, int]:
+        kept: list[int] = []
+        # reach[k] is the set of resources reached by more than k kept
+        # users of the classes seen so far; a class keeping count users
+        # lifts its resources count levels, top level first so each
+        # reads the old level below.
+        reach = [0] * d
+        for mask, users in classes.items():
+            count = 0
+            for u in users:
+                if not removed_mask >> u & 1:
+                    kept.append(u)
+                    count += 1
+                    if count == d:
+                        break
+            for k in range(d - 1, -1, -1):
+                reach[k] |= mask if k < count else mask & reach[k - count]
+        if reach[-1] != target:
+            return None, 0
+        kept.sort()
         found, nodes = search([access[u] for u in kept], p, d, t)
         if found is None:
             return None, nodes
@@ -536,20 +576,13 @@ def _pivot_attempt(fallback: Callable, counts: dict[str, int]) -> Callable:
 
 
 def solve_s0(inst: Instance, rung: str, limits: Limits = DEFAULT_LIMITS) -> Verdict:
-    """The s=0 verdict of a rung's own search run once on every user,
-    those who reach nothing included, with no pivot attempt.
-
-    With no target resource, d empty teams answer SAT before any budget
-    is read. The verdict's stats carry the core's node count and, under
-    extras, its rung's size.
+    """The s=0 verdict of a rung's core on every user, core(0), with no
+    pivot attempt. The verdict's stats carry the core's node count and,
+    under extras, its rung's size.
     """
     require_normalized(inst)
     stats = SolveStats(algorithm=rung)
-    if inst.num_resources == 0:
-        # Empty target: d empty teams cover it vacuously.
-        return Verdict(SAT, TeamSet(tuple(frozenset() for _ in range(inst.d))), stats)
-    core = s0_core(inst, rung, limits, stats.extras)
-    found, stats.nodes = core(list(range(inst.n)))
+    found, stats.nodes = s0_core(inst, rung, limits, stats.extras)(0)
     if found is None:
         return Verdict(UNSAT, BlockerSet(frozenset()), stats)
     return Verdict(SAT, found, stats)

@@ -32,7 +32,6 @@ from rescheck import (
     SAT,
     Instance,
     Verdict,
-    dp_solve,
     emit_instance,
     emit_verdict,
     kernelize,
@@ -44,6 +43,7 @@ from rescheck import (
     verify_witness,
 )
 from rescheck.cli import main
+from rescheck.teams import dp_search
 from rescheck.generators import (
     from_3dm,
     from_domatic,
@@ -204,18 +204,10 @@ def test_kernels_are_small_answer_preserving_and_fast(kernel_batch):
 
 
 def _dp_nodes(access: tuple[int, ...], p: int, d: int, t: int) -> int:
-    inst = Instance(
-        access=access,
-        num_resources=p,
-        target=(1 << p) - 1,
-        s=0,
-        d=d,
-        t=min(t, p),
-    )
-    verdict = dp_solve(inst)
-    cap = inst.n * 2 ** (d * p) * (int(inst.t) + 1) ** d
-    assert verdict.stats.nodes <= cap
-    return verdict.stats.nodes
+    t = min(t, p)
+    _, states = dp_search(access, p, d, t)
+    assert states <= len(access) * 2 ** (d * p) * (t + 1) ** d
+    return states
 
 
 def test_dp_states_respect_the_cap_and_its_doubling_prediction():

@@ -45,7 +45,6 @@ from rescheck import (
 from rescheck.blockers import (
     _auto,
     _rung,
-    _solve_survivors,
     _vector_count,
     outside_domain,
 )
@@ -692,17 +691,35 @@ def test_searches_agree_beyond_the_oracle_guard(y):
             assert not ilp_solve(restrict(y, survivors)).sat
 
 
+def _rung_search(y: Instance, rung: str, users: list[int]) -> TeamSet | None:
+    # The rung's bare search on the masks of users, in ascending index,
+    # with its teams in y's numbering.
+    masks = [y.access[u] for u in users]
+    p, d, t = y.num_resources, y.d, int(y.t)
+    if rung == "ilp":
+        pools: dict[int, list[int]] = {}
+        for i, m in enumerate(masks):
+            pools.setdefault(m, []).append(i)
+        configs = rescheck.teams.enumerate_configurations(y)
+        vector, _ = rescheck.teams.ilp_feasible(configs, {m: len(g) for m, g in pools.items()}, d)
+        found = None if vector is None else rescheck.teams.reconstruct_teams(pools, vector).teams
+    else:
+        found, _ = getattr(rescheck.teams, f"{rung}_search")(masks, p, d, t)
+    if found is None:
+        return None
+    return TeamSet(tuple(frozenset(users[i] for i in team) for team in found))
+
+
 @settings(max_examples=400, deadline=None)
 @given(instances(max_n=7, max_p=3, max_d=3), st.lists(st.integers(0, 6), unique=True))
 def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
-    # _solve_survivors hands each rung's core the first min(|class|, d)
-    # survivors of every occupied class and calls it exactly when every
-    # resource keeps d reachers among them; it answers the survivors as
-    # the oracle does, and each core answers the same on the kept users
-    # as on all survivors: the same answer and, exactly when SAT, the
-    # same teams, drawn from the kept users and in the caller's numbering;
-    # _solve_survivors returns the core's answer and node count, and
-    # (None, 0) when the supply screen answers
+    # each rung's core(removed_mask) hands its search the masks of the
+    # first min(|class|, d) survivors of every occupied class, and calls
+    # it exactly when every resource keeps d reachers among them; it
+    # answers the survivors as the oracle does, with (None, 0) when the
+    # supply screen answers, and exactly when SAT with the teams the
+    # search finds on all survivors, drawn from the kept users and in
+    # the caller's numbering
     y = normalize(x)
     removed_mask = sum(1 << u for u in removals[: y.s])  # searches remove <= s
     kept = []
@@ -720,22 +737,28 @@ def test_supply_screen_and_cores_agree_with_the_oracle(x, removals):
         assert not want
     for rung, limits in RUNGS.items():
         assert _rung(y, limits) == rung
-        core = rescheck.teams.s0_core(y, rung, limits)
-        found, _ = core(kept)
+        # ilp's search sees the kept users as class capacities
+        name = {"dp": "dp_search", "ilp": "ilp_feasible", "pivot": "pivot_search"}[rung]
+        search = getattr(rescheck.teams, name)
+        asked = []
+
+        def recorded(*args):
+            asked.append(args[1] if rung == "ilp" else list(args[0]))
+            return search(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rescheck.teams, name, recorded)
+            found, nodes = rescheck.teams.s0_core(y, rung, limits)(removed_mask)
+        masks = [y.access[u] for u in kept]
+        seen = {m: masks.count(m) for m in masks} if rung == "ilp" else masks
+        assert asked == ([] if starved else [seen])
         assert (found is not None) == want
-        assert core(survivors)[0] == found
+        if starved:
+            assert nodes == 0
+        assert found == _rung_search(y, rung, survivors)
         if want:
             assert set().union(*found.teams) <= set(kept)
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats(rung)))
-        asked = []
-
-        def recorded(users):
-            asked.append(list(users))
-            return core(users)
-
-        got = _solve_survivors(y, recorded, removed_mask)
-        assert asked == ([] if starved else [kept])
-        assert got == ((None, 0) if starved else core(kept))
 
 
 @pytest.mark.parametrize("solver", [branch_solve, reduced_solve])
@@ -822,14 +845,19 @@ def test_a_removal_set_reached_twice_is_solved_once(monkeypatch):
     # the stored-teams screen finding nothing every node would ask the
     # core, but the revisit returns at once
     asked = []
-    solve_survivors = rescheck.blockers._solve_survivors
+    s0_core = rescheck.teams.s0_core
 
-    def recorded(inst, core, removed_mask):
-        asked.append(removed_mask)
-        return solve_survivors(inst, core, removed_mask)
+    def recorded_core(*args, **kwargs):
+        core = s0_core(*args, **kwargs)
+
+        def recorded(removed_mask):
+            asked.append(removed_mask)
+            return core(removed_mask)
+
+        return recorded
 
     monkeypatch.setattr(rescheck.blockers, "_stored_covers", _nothing_stored)
-    monkeypatch.setattr(rescheck.blockers, "_solve_survivors", recorded)
+    monkeypatch.setattr(rescheck.teams, "s0_core", recorded_core)
     x = norm([[0], [1], [0], [1], [0], [1]], p=2, s=2, d=1, t=2)
     v = branch_solve(x)
     assert v.sat

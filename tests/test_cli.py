@@ -76,13 +76,19 @@ class TestSolve:
             assert "answers only s=0" in err
 
     @pytest.mark.parametrize(
-        "flag", ["--dp-bits", "--max-classes", "--oracle-users", "--max-configs"]
+        "flag", ["--dp-bits", "--max-classes", "--oracle-users", "--max-configs", "--max-d"]
     )
     def test_negative_budget_exits_two(self, flag, resilient, capsys):
-        assert main(["solve", resilient, flag, "-1"]) == EXIT_ERROR
+        # --max-d is a sweep flag: at -1 the grid would build no family
+        # and check nothing
+        field = flag[2:].replace("-", "_")
+        if field in {f.name for f in fields(Limits)}:
+            command = ["solve", resilient]
+        else:
+            command = ["sweep", "--max-n", "2", "--seeds", "3", "--quiet"]
+        assert main([*command, flag, "-1"]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        field = flag[2:].replace("-", "_")
         assert f"error: {field} must be non-negative" in captured.err
 
     def test_dp_budget_exceeded_exits_three(self, tmp_path, capsys):

@@ -70,8 +70,8 @@ GOLDEN = {
     "seed5": "3db7e86588de3118070fa1528657039944d0f76d2f4ec7c5a9892dd36e41f630",
     "seed6": "98f92ab3c69a2becd47299c93fde17c57b520f01400b11df64627ef425d6e636",
     "seed7": "36dd6b6825ed6b6a4969d11d05909e8a81fa4bc2a9b29d0f331e1201eee3cdce",
-    "seed8": "ae7ba6a751a2e1f5e33a0b7d8804e8a1e2e5b2f65b81d39a6ce69ee61570984d",
-    "seed9": "564ec44981e2d0d61b0cb4cc8e7c862fd4218264b853abeb8ff68977fd6d16c6",
+    "seed8": "69b884466597f348506422db5795bb975d2c6cb00b2cfb26754d1177ede6c13f",
+    "seed9": "8ecf1634de8fd9800f6428c5d00323e13df664fd549c55b100bc2a94c546c82b",
     "seed10": "5ffe8e9cbba4255ea53c14e00621228df908fc6c3134019237a90f231d4b6308",
     "seed11": "f1cd027984389a4606dbb87c627230dac55827e257160f30b7f67aaef89ca22d",
     "seed12": "4478d129a5ae4a52277e7a4e370627784db59ffbf14a7dc36609492e2cd88737",
@@ -84,11 +84,11 @@ GOLDEN = {
     "seed19": "2f935fd9da99bd22d6e5caef54a4c0115ef99852efb96408228c71fe65e0c280",
     "seed20": "3dfb15d94d1fc5256377d6ec26697b424953c9b87ce88e65079fa4124ceaa3e1",
     "seed21": "6d4da1637b234e84d3a8d9f6b5d25d07a924e72d1855458e665f94d5648e3edc",
-    "seed22": "f7193ccf1e34ca4ab89bac8f3a545d27b5b246d681ce509472170b7e90e280ec",
+    "seed22": "79dc805a2a88d7d149e3f5f9c393445d5b1448468f35aeea445f298988c8646a",
     "seed23": "cac1f3fef3941baf81a4b938f42d8f1db6dabff80a26401f900aa8c1ecf91385",
-    "seed24": "b67a5843c730a4023a3293646314b9c143abbf1b09ab620ec59375986053fc28",
+    "seed24": "165c6a69fab288176eddbdcc46483cf2218d9317e6dfadc66063418cd378f0ca",
     "seed25": "e360e5a6c694e97a5666a45702eddeaa345ab812d8c4b56a7ac68d3742618637",
-    "seed26": "518c36d36dff85171993ce3f2410228cc4498dacc19955373352ad04cbb93a81",
+    "seed26": "11eef9715c54d0c5acf3d48736d90deb183e1dfdb0c467056c9c43fb5f3f0256",
     "seed27": "217e59186e0a6505ae71c6e91673802e072c0bad700157ca20a90ce8e57de6f9",
     "seed28": "d7a9234f96824b5a1c152fa31c051341f937658849476e22f2d0b3f8c57b286e",
     "seed29": "99f0f619b3477c1cf77869d4e5a47025156dd368e1e8b88844c8dc093b8c238a",

@@ -268,10 +268,10 @@ class TestDp:
         # miss it, so it needs a third reacher, and the root is dead. The
         # first two levels pass the root: each resource has two reachers.
         x = norm([[0, 1]] * 2 + [[0]] * 8, p=2, d=3, t=2)
-        v = dp_solve(x)
-        assert not v.sat
+        found, states = teams.dp_search(x.access, 2, 3, 2)
+        assert found is None
         assert not solve_s0_bruteforce(x).sat
-        assert v.stats.nodes == 1
+        assert states == 1
 
     def test_prune_on_the_second_level_alone(self):
         # user 0 reaches everything, so the first level never cuts, and
@@ -281,20 +281,20 @@ class TestDp:
         # reacher left, and such states are cut on the second level. On
         # the first level alone the search enters 20 states.
         x = norm([[0, 1], [0], [0], [0], [0], [1], [0]], p=2, d=2, t=2)
-        v = dp_solve(x)
-        assert v.sat
+        found, states = teams.dp_search(x.access, 2, 2, 2)
         assert solve_s0_bruteforce(x).sat
-        assert verify_witness(x, v)
-        assert v.stats.nodes == 9
+        witness = TeamSet(tuple(frozenset(team) for team in found))
+        assert verify_witness(x, Verdict(SAT, witness, SolveStats("dp")))
+        assert states == 9
 
     def test_prune_too_few_users_reach_a_resource(self):
         # both teams miss r1, which only user 0 reaches: the root state is
         # dead and nothing below it is searched
         x = norm([[0, 1]] + [[0]] * 8, p=2, d=2, t=2)
-        v = dp_solve(x)
-        assert not v.sat
+        found, states = teams.dp_search(x.access, 2, 2, 2)
+        assert found is None
         assert not solve_s0_bruteforce(x).sat
-        assert v.stats.nodes == 1
+        assert states == 1
 
     def test_prune_full_team_with_demand_left(self):
         # t=1 and no user reaches both resources: the team is full as soon
@@ -302,10 +302,10 @@ class TestDp:
         # leaves the ten prefixes with the team untouched plus one child
         # for each of the nine users above the first.
         x = norm([[0], [1]] * 5, p=2, d=1, t=1)
-        v = dp_solve(x)
-        assert not v.sat
+        found, states = teams.dp_search(x.access, 2, 1, 1)
+        assert found is None
         assert not solve_s0_bruteforce(x).sat
-        assert v.stats.nodes == 2 * x.n - 1
+        assert states == 2 * x.n - 1
 
     def test_memo_is_released_on_return(self):
         # With the cyclic collector off, nothing may hold the caches in
@@ -527,13 +527,14 @@ class TestPivot:
     def test_branches_on_the_lowest_missing_resource(self):
         # r0 is reached by users 1 and 2; user 1 leaves r1 to user 0
         x = norm([[1], [0], [0, 1]], p=2, d=2, t=2)
-        v = solve_s0(x, "pivot")
-        assert v.witness.teams == (frozenset({0, 1}), frozenset({2}))
-        assert verify_witness(x, v)
+        found, _ = teams.pivot_search(x.access, 2, 2, 2)
+        assert found == [{0, 1}, {2}]
+        witness = TeamSet(tuple(frozenset(team) for team in found))
+        assert verify_witness(x, Verdict(SAT, witness, SolveStats("pivot")))
 
     def test_size_cap_is_tracked(self):
         x = norm([[0], [1]], p=2, d=1, t=1)
-        assert not solve_s0(x, "pivot").sat
+        assert teams.pivot_search(x.access, 2, 1, 1)[0] is None
 
     def test_zero_resources_is_trivially_sat(self):
         x = Instance(access=(), num_resources=0, target=0, d=2, t=1)
@@ -543,9 +544,7 @@ class TestPivot:
         # five users each reach r0 and r1, none reaches r2: the root's
         # five children each have r2 left and no user to branch on
         x = norm([[0, 1]] * 5 + [[3]], p=4, d=1, t=4)
-        v = solve_s0(x, "pivot")
-        assert not v.sat
-        assert v.stats.nodes == 1 + 5
+        assert teams.pivot_search(x.access, 4, 1, 4) == (None, 1 + 5)
 
     def test_failed_states_are_searched_once(self):
         # only user 0 reaches r1, so two teams cannot both cover it. The
@@ -554,9 +553,7 @@ class TestPivot:
         # users 0 and 1 taken) is entered but not searched again, which
         # saves its one child: 14 states instead of 15
         x = norm([[0, 1], [0, 2], [2], [0]], p=3, d=2, t=3)
-        v = solve_s0(x, "pivot")
-        assert not v.sat
-        assert v.stats.nodes == 14
+        assert teams.pivot_search(x.access, 3, 2, 3) == (None, 14)
 
     def test_node_budget_is_enforced(self, monkeypatch):
         x = norm([[0], [1], [0, 1]], p=2, d=1, t=2)
@@ -581,11 +578,12 @@ class TestPivot:
         ids=["two-teams", "size-cap", "unreached-resource", "failed-states", "deep"],
     )
     def test_search_on_bare_masks_is_the_solvers_search(self, rows, p, d, t):
-        # the same answer, teams and states as solve_s0's pivot route
+        # the same answer and teams as solve_s0's pivot route, which
+        # searches only the first d users of each class
         x = norm(rows, p=p, d=d, t=t)
         v = solve_s0(x, "pivot")
-        picked, nodes = teams.pivot_search(x.access, p, d, int(x.t))
-        assert (picked is not None, nodes) == (v.sat, v.stats.nodes)
+        picked, _ = teams.pivot_search(x.access, p, d, int(x.t))
+        assert (picked is not None) == v.sat
         found = None if picked is None else tuple(frozenset(team) for team in picked)
         assert found == (v.witness.teams if v.sat else None)
 
@@ -606,19 +604,21 @@ class TestPivotFirst:
     @given(x=instances(max_n=9, max_p=4, max_d=3), data=st.data())
     def test_answers_as_the_rungs_own_core(self, rung, cap, x, data):
         # at cap 1 nearly every attempt falls back; at the default nearly
-        # every attempt answers. Either way the answer is the rung's.
+        # every attempt answers. Either way the answer is the rung's, and
+        # no attempt is made where the supply screen answers (0 nodes).
         y = normalize(x)
-        kept = sorted(data.draw(st.sets(st.sampled_from(range(y.n)))) if y.n else [])
+        removed = data.draw(st.sets(st.sampled_from(range(y.n)))) if y.n else set()
+        removed_mask = sum(1 << u for u in removed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(teams, "PIVOT_FIRST_NODES", cap)
             counts: dict[str, int] = {}
-            found, _ = teams.s0_core(y, rung, Limits(), pivot_counts=counts)(kept)
-        want, _ = teams.s0_core(y, rung, Limits())(kept)
+            found, _ = teams.s0_core(y, rung, Limits(), pivot_counts=counts)(removed_mask)
+        want, nodes = teams.s0_core(y, rung, Limits())(removed_mask)
         assert (found is None) == (want is None)
         if found is not None:
             assert verify_witness(replace(y, s=0), Verdict(SAT, found, SolveStats("x")))
-            assert {u for team in found.teams for u in team} <= set(kept)
-        assert counts["pivot_answered"] + counts["pivot_fallbacks"] == 1
+            assert not {u for team in found.teams for u in team} & removed
+        assert counts["pivot_answered"] + counts["pivot_fallbacks"] == (1 if nodes else 0)
 
     def test_a_cap_hit_falls_back_to_the_rung(self, monkeypatch):
         # two one-user teams need two states: at cap 1 the attempt stops
@@ -627,20 +627,20 @@ class TestPivotFirst:
         monkeypatch.setattr(teams, "PIVOT_FIRST_NODES", 1)
         extras: dict[str, int] = {}
         counts: dict[str, int] = {}
-        got = teams.s0_core(x, "dp", Limits(), extras, pivot_counts=counts)([0, 1])
-        assert got == teams.s0_core(x, "dp", Limits())([0, 1])
+        got = teams.s0_core(x, "dp", Limits(), extras, pivot_counts=counts)(0)
+        assert got == teams.s0_core(x, "dp", Limits())(0)
         assert extras == {"dp_bits": 2}
         assert counts == {"pivot_answered": 0, "pivot_fallbacks": 1}
 
     def test_a_finished_attempt_answers_with_its_own_states(self):
         # the attempt is exact when it finishes: UNSAT here after the
-        # root and its two picks for r0, as no user reaches r1; the
-        # configuration list is never built
-        x = norm([[0], [0]], p=2, d=1, t=2)
+        # root and its one pick for r0, as t = 1 leaves no room for r1;
+        # the configuration list is never built
+        x = norm([[0], [1]], p=2, d=1, t=1)
         extras: dict[str, int] = {}
         counts: dict[str, int] = {}
-        got = teams.s0_core(x, "ilp", Limits(), extras, pivot_counts=counts)([0, 1])
-        assert got == (None, 3)
+        got = teams.s0_core(x, "ilp", Limits(), extras, pivot_counts=counts)(0)
+        assert got == (None, 2)
         assert extras == {}
         assert counts == {"pivot_answered": 1, "pivot_fallbacks": 0}
 
@@ -649,7 +649,7 @@ class TestPivotFirst:
         counts: dict[str, int] = {}
         core = teams.s0_core(x, "dp", Limits(), pivot_counts=counts)
         monkeypatch.setattr(teams, "PIVOT_FIRST_NODES", 1)
-        assert core([0, 1])[0] is not None
+        assert core(0)[0] is not None
         assert counts == {"pivot_answered": 0, "pivot_fallbacks": 1}
 
     @pytest.mark.parametrize("rung", ["dp", "ilp"])
